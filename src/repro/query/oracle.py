@@ -49,11 +49,27 @@ class RelevanceOracle:
         """Whether graded relevance clears the threshold."""
         return self.relevance(query, item) >= self.relevance_threshold
 
+    def relevance_many(
+        self, query: Query, items: Sequence[InformationItem]
+    ) -> np.ndarray:
+        """:meth:`relevance` of every item, in one validated pass.
+
+        Element ``i`` is bitwise ``relevance(query, items[i])``
+        (:meth:`TopicSpace.relevance_many`).
+        """
+        if not items:
+            return np.zeros(0)
+        return self.topic_space.relevance_many(
+            self._intent(query), [item.latent for item in items]
+        )
+
     def relevant_subset(
         self, query: Query, items: Iterable[InformationItem]
     ) -> List[InformationItem]:
-        """Items truly relevant to the query."""
-        return [item for item in items if self.is_relevant(query, item)]
+        """Items truly relevant to the query (order kept)."""
+        items = list(items)
+        relevant = self.relevance_many(query, items) >= self.relevance_threshold
+        return [item for item, keep in zip(items, relevant.tolist()) if keep]
 
     def _intent(self, query: Query) -> np.ndarray:
         if query.intent_latent is not None:
@@ -123,12 +139,11 @@ class RelevanceOracle:
             k = len(ranking)
         if k == 0 or not ranking:
             return 0.0
-        gains = [self.relevance(query, item) for item in ranking[:k]]
+        relevances = self.relevance_many(query, ranking).tolist()
+        gains = relevances[:k]
         discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
         dcg = float(np.dot(gains, discounts))
-        ideal = sorted(
-            (self.relevance(query, item) for item in ranking), reverse=True
-        )[:k]
+        ideal = sorted(relevances, reverse=True)[:k]
         ideal_dcg = float(np.dot(ideal, 1.0 / np.log2(np.arange(2, len(ideal) + 2))))
         if ideal_dcg == 0:
             return 0.0

@@ -145,25 +145,38 @@ class RngStreams:
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use."""
         if name not in self._streams:
-            child_seed = derive_seed(self.seed, name)
-            self._draw_counts.setdefault(name, 0)
-            self._streams[name] = cast(
-                np.random.Generator,
-                CountingGenerator(np.random.default_rng(child_seed), self, name),
-            )
+            self._streams[name] = self._new(name)
         return self._streams[name]
 
     def fresh(self, name: str) -> np.random.Generator:
         """Return a *new* generator for ``name``, resetting any prior state.
 
+        The generator is handed to the caller and not retained: a caller
+        deriving one stream per item (feature-extraction noise) would
+        otherwise keep every item's generator alive for the whole run.  A
+        later :meth:`stream` of the same name starts from the seed again.
         Draw counters are cumulative across ``fresh`` resets: a draw is a
         draw, whichever incarnation of the stream produced it.
         """
         self._streams.pop(name, None)
-        return self.stream(name)
+        return self._new(name)
+
+    def _new(self, name: str) -> np.random.Generator:
+        """A counting generator at the start of ``name``'s stream."""
+        self._draw_counts.setdefault(name, 0)
+        return cast(
+            np.random.Generator,
+            CountingGenerator(
+                np.random.default_rng(derive_seed(self.seed, name)), self, name
+            ),
+        )
 
     def names(self) -> Iterator[str]:
-        """Iterate over the names of streams created so far (sorted)."""
+        """Iterate over the names of retained streams (sorted).
+
+        Streams handed out by :meth:`fresh` are not retained and not
+        listed; their draws still show in :meth:`draw_counts`.
+        """
         return iter(sorted(self._streams))
 
     def spawn(self, prefix: str) -> "ScopedStreams":

@@ -4,7 +4,9 @@ Public API:
 
 - Similarity primitives: :func:`cosine_similarity`,
   :func:`jaccard_similarity`, :func:`weighted_jaccard`, :func:`bag_cosine`,
-  :class:`EnsembleSimilarity`.
+  :class:`EnsembleSimilarity`; the compact text layout
+  :class:`CompactBag`, :class:`TermIds`, :class:`TermColumns`,
+  :func:`compact_cosine`.
 - Matching: :class:`MatchingEngine`, :class:`TextMatcher`,
   :class:`MediaMatcher`, :class:`CrossTypeMatcher`,
   :class:`CompoundMatcher`, :class:`ConceptLifter`,
@@ -60,12 +62,15 @@ from repro.uncertainty.salience import (
     salient_parts,
 )
 from repro.uncertainty.similarity import (
+    CompactBag,
     EnsembleSimilarity,
+    TermColumns,
+    TermIds,
     bag_cosine,
     bag_norm,
-    batch_bag_cosine,
     batch_dot_kernel,
     batch_nonnegative_cosine,
+    compact_cosine,
     cosine_similarity,
     dot_kernel,
     jaccard_similarity,
@@ -80,6 +85,7 @@ __all__ = [
     "BoundStats",
     "CalibrationReport",
     "CandidateBlock",
+    "CompactBag",
     "CompoundMatcher",
     "LruCache",
     "ConceptLifter",
@@ -91,16 +97,18 @@ __all__ = [
     "QueryBoundState",
     "RiskProfile",
     "SalientPart",
+    "TermColumns",
+    "TermIds",
     "TextMatcher",
     "UncertainEstimate",
     "UncertainMatch",
     "UncertainResultSet",
     "bag_cosine",
     "bag_norm",
-    "batch_bag_cosine",
     "batch_dot_kernel",
     "batch_nonnegative_cosine",
     "build_matching_engine",
+    "compact_cosine",
     "dot_kernel",
     "concept_peakedness",
     "cosine_similarity",

@@ -15,14 +15,16 @@ This module answers all three:
 - :class:`CompoundMatcher` — recursive best-part alignment with weights.
 - :class:`MatchingEngine` — dispatches on item types.
 
-Every matcher exposes both a pairwise ``score`` and a batched
-``score_many``.  The batch path computes query-side state (TF bag, lift,
-feature vector) once per call instead of once per pair, scores candidates
-through the einsum kernels of :mod:`repro.uncertainty.similarity`, and
-memoizes per-item derived state in bounded LRU caches.  The contract —
-enforced by property tests — is *exact* float parity: ``score_many(q,
-cs)[i]`` is bitwise equal to ``score(q, cs[i])``, so ``rank`` and
-``rank_pairwise`` return identical lists.
+Every matcher exposes a pairwise ``score``; the leaf matchers also have
+a batched ``score_many``, and :class:`CandidateBlock` batches all of them
+(compound alignment included) over a prepared pool.  The batch path
+computes query-side state (TF bag, lift, feature vector) once per call
+instead of once per pair, scores candidates through the einsum and
+term-column kernels of :mod:`repro.uncertainty.similarity`, and memoizes
+per-item derived state in bounded LRU caches.  The contract — enforced by
+property tests — is *exact* float parity: ``score_many(q, cs)[i]`` is
+bitwise equal to ``score(q, cs[i])``, so ``rank`` and ``rank_pairwise``
+return identical lists.
 """
 
 from __future__ import annotations
@@ -52,11 +54,12 @@ from repro.data.items import (
 from repro.data.vocabulary import Vocabulary
 from repro.uncertainty.pruning import BlockBounds, PruneStats
 from repro.uncertainty.similarity import (
-    bag_cosine,
-    bag_norm,
-    batch_bag_cosine,
+    CompactBag,
+    TermColumns,
+    TermIds,
     batch_dot_kernel,
     batch_nonnegative_cosine,
+    compact_cosine,
     dot_kernel,
     nonnegative_cosine,
     sublinear_tf,
@@ -68,6 +71,10 @@ if TYPE_CHECKING:
 #: default bound for per-item derived-state caches (vectors are tiny, so
 #: this is a few MB at most; long simulations stop leaking memory)
 DEFAULT_CACHE_SIZE = 8192
+
+#: whole-partition text score rows a block keeps, keyed by query item id
+#: (a compound query's text parts each need one while its chunks are visited)
+TEXT_SCORE_SLOTS = 4
 
 #: histogram buckets for the fraction of candidates a pruned rank scored
 PRUNE_FRACTION_BUCKETS = (
@@ -138,29 +145,24 @@ class TextMatcher:
 
     def __init__(self, cache_size: int = DEFAULT_CACHE_SIZE):
         self._bags = LruCache("text_tf", cache_size)
+        self._terms = TermIds()
 
-    def _bag(self, doc: TextDocument) -> Tuple[Dict[str, float], float]:
-        """The document's sublinear-TF bag and its norm (cached)."""
+    def _bag(self, doc: TextDocument) -> CompactBag:
+        """The document's sublinear-TF bag in compact form (cached)."""
         return self._bags.get_or_compute(  # type: ignore[return-value]
-            doc.item_id,
-            lambda: (lambda bag: (bag, bag_norm(bag)))(sublinear_tf(doc.terms)),
+            doc.item_id, lambda: self._terms.compact(sublinear_tf(doc.terms))
         )
 
     def score(self, query: TextDocument, candidate: TextDocument) -> float:
         """Similarity score for one pair, in [0, 1]."""
-        return bag_cosine(self._bag(query)[0], self._bag(candidate)[0])
+        return compact_cosine(self._bag(query), self._bag(candidate))
 
     def score_many(
         self, query: TextDocument, candidates: Sequence[TextDocument]
     ) -> np.ndarray:
-        """Scores of ``query`` against each candidate (TF computed once)."""
-        query_bag, __ = self._bag(query)
-        prepared = [self._bag(candidate) for candidate in candidates]
-        return batch_bag_cosine(
-            query_bag,
-            [bag for bag, __ in prepared],
-            [norm for __, norm in prepared],
-        )
+        """Scores of ``query`` against each candidate (one column pass)."""
+        columns = TermColumns([self._bag(candidate) for candidate in candidates])
+        return columns.cosine(self._bag(query))
 
 
 class MediaMatcher:
@@ -350,43 +352,6 @@ class CompoundMatcher:
             aggregate += weight * best
         return aggregate / total_weight
 
-    def score_many(
-        self, query: InformationItem, candidates: Sequence[InformationItem]
-    ) -> np.ndarray:
-        """Scores against each candidate; each query part batched once.
-
-        All candidates' leaf parts are scored in one ``score_many`` per
-        query part, then the best-part/weighted-mean aggregation runs on
-        the resulting rows — the same arithmetic, in the same order, as
-        the pairwise path.
-        """
-        n = len(candidates)
-        scores = np.zeros(n)
-        if n == 0:
-            return scores
-        query_parts = self._parts(query)
-        if not query_parts:
-            return scores
-        total_weight = sum(weight for __, weight in query_parts)
-        parts_per_candidate = [self._parts(candidate) for candidate in candidates]
-        flat_parts: List[InformationItem] = [
-            part for parts in parts_per_candidate for part, __ in parts
-        ]
-        if not flat_parts:
-            return scores
-        rows = [self.base.score_many(part, flat_parts) for part, __ in query_parts]
-        offset = 0
-        for i, candidate_parts in enumerate(parts_per_candidate):
-            width = len(candidate_parts)
-            if width == 0:
-                continue
-            aggregate = 0.0
-            for row, (__, weight) in zip(rows, query_parts):
-                aggregate += weight * float(row[offset:offset + width].max())
-            scores[i] = aggregate / total_weight
-            offset += width
-        return scores
-
     @staticmethod
     def _parts(item: InformationItem) -> List[Tuple[InformationItem, float]]:
         if isinstance(item, CompoundObject):
@@ -410,6 +375,12 @@ class CandidateBlock:
     by visibility time, so "the items visible at ``now``" is always a
     prefix) and extend them incrementally as items are ingested.
 
+    Text queries are scored against the whole text partition at once
+    (:class:`~repro.uncertainty.similarity.TermColumns`); the result is
+    kept for the last few query items, so the pruned rank path's chunk
+    visits slice one array instead of re-scoring.  Compound candidates'
+    leaf parts live in one nested parts block with per-compound offsets.
+
     Scores are bitwise-identical to the pairwise path; candidate order
     only affects the order of the returned array, never a value.
     """
@@ -420,8 +391,7 @@ class CandidateBlock:
         self._kinds: List[int] = []
         # Ascending positions per partition, aligned with per-kind state.
         self._text_positions: List[int] = []
-        self._text_bags: List[Dict[str, float]] = []
-        self._text_norms: List[float] = []
+        self._text_bags: List[CompactBag] = []
         self._media_positions: List[int] = []
         self._compound_positions: List[int] = []
         self._noncompound_positions: List[int] = []
@@ -430,6 +400,14 @@ class CandidateBlock:
         self._media_matrix: Optional[np.ndarray] = None
         self._lift_matrix: Optional[np.ndarray] = None
         self._lift_norms: Optional[np.ndarray] = None
+        # Lazily built text layout and whole-partition text scores keyed
+        # by query item id (dropped on extend).
+        self._text_columns: Optional[TermColumns] = None
+        self._text_scores: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        # Lazily built leaf parts of the compound partition: compound j's
+        # parts sit at parts-block positions [offsets[j], offsets[j + 1]).
+        self._parts_block: Optional[CandidateBlock] = None
+        self._parts_offsets: List[int] = [0]
         # Lazily built chunked score upper bounds (synced in bounds()).
         self._bounds: Optional[BlockBounds] = None
         self.extend(items)
@@ -438,27 +416,28 @@ class CandidateBlock:
         return len(self.items)
 
     def extend(self, new_items: Sequence[InformationItem]) -> None:
-        """Append candidates, invalidating only the stacked matrices.
+        """Append candidates, invalidating only the stacked views.
 
         Per-item derived state (TF bags, features, lifts) stays cached in
         the engine's LRU caches, so re-stacking after an extend re-derives
-        nothing — it only rebuilds the dense views.
+        nothing — it only rebuilds the dense views and the text layout.
+        A built parts block is extended in place.
         """
         if not new_items:
             return
         text = self.engine.text
+        new_compounds: List[CompoundObject] = []
         for item in new_items:
             position = len(self.items)
             self.items.append(item)
             if isinstance(item, CompoundObject):
                 kind = _KIND_COMPOUND
                 self._compound_positions.append(position)
+                new_compounds.append(item)
             elif isinstance(item, TextDocument):
                 kind = _KIND_TEXT
                 self._text_positions.append(position)
-                bag, norm = text._bag(item)
-                self._text_bags.append(bag)
-                self._text_norms.append(norm)
+                self._text_bags.append(text._bag(item))
             elif isinstance(item, MediaObject):
                 kind = _KIND_MEDIA
                 self._media_positions.append(position)
@@ -471,6 +450,10 @@ class CandidateBlock:
         self._media_matrix = None
         self._lift_matrix = None
         self._lift_norms = None
+        self._text_columns = None
+        self._text_scores.clear()
+        if self._parts_block is not None and new_compounds:
+            self._append_parts(self._parts_block, new_compounds)
 
     # agora: worker-local bound state is derived deterministically from
     # per-worker caches; each worker's lazily built copy is identical
@@ -512,6 +495,47 @@ class CandidateBlock:
                 [self.items[p] for p in self._noncompound_positions]
             )
         return self._lift_matrix, self._lift_norms
+
+    # agora: worker-local text layout and per-query score rows derived from
+    # the per-worker TF cache, rebuilt identically by every worker
+    def _text_scores_for(self, query: TextDocument) -> np.ndarray:
+        """Text-partition scores of ``query``, one column pass per query.
+
+        Keyed by the query's item id, like the TF cache itself; the last
+        :data:`TEXT_SCORE_SLOTS` queries are kept, so a compound query's
+        text parts do not evict each other between chunk visits.
+        """
+        cached = self._text_scores.get(query.item_id)
+        if cached is None:
+            if self._text_columns is None:
+                self._text_columns = TermColumns(self._text_bags)
+            cached = self._text_columns.cosine(self.engine.text._bag(query))
+            self._text_scores[query.item_id] = cached
+            if len(self._text_scores) > TEXT_SCORE_SLOTS:
+                self._text_scores.popitem(last=False)
+        return cached
+
+    # agora: worker-local nested block over the compound partition's leaf
+    # parts, rebuilt identically by every worker on first use
+    def _compound_parts(self) -> "CandidateBlock":
+        if self._parts_block is None:
+            self._parts_block = CandidateBlock(self.engine, [])
+            self._append_parts(
+                self._parts_block,
+                [self.items[p] for p in self._compound_positions],
+            )
+        return self._parts_block
+
+    def _append_parts(
+        self, parts_block: "CandidateBlock", compounds: Sequence[InformationItem]
+    ) -> None:
+        """Append ``compounds``' flattened leaf parts and their offsets."""
+        base = len(parts_block)
+        leaves: List[InformationItem] = []
+        for compound in compounds:
+            leaves.extend(part for part, __ in CompoundMatcher._parts(compound))
+            self._parts_offsets.append(base + len(leaves))
+        parts_block.extend(leaves)
 
     # -- dense-view sharing (repro.parallel) -----------------------------
     def dense_stack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -584,29 +608,72 @@ class CandidateBlock:
         """Scores against candidates at positions ``[start, stop)``.
 
         ``scores[i]`` is bitwise equal to
-        ``engine.score(query, self.items[start + i])`` — the einsum
-        kernels compute each candidate's score with one fixed reduction,
-        so slicing the pool never changes a float.  This is what lets the
-        pruning rank path score surviving chunks in isolation and still
-        match the exhaustive path exactly.
+        ``engine.score(query, self.items[start + i])``.  Every kernel
+        computes each candidate's score with one fixed reduction that does
+        not depend on the batch, so slicing the pool never changes a
+        float.  This is what lets the pruning rank path score surviving
+        chunks in isolation and still match the exhaustive path exactly.
         """
         start = max(0, start)
         stop = min(stop, len(self.items))
         if stop <= start:
             return np.zeros(0)
         if isinstance(query, CompoundObject):
-            return self.engine.compound.score_many(query, self.items[start:stop])
+            return self._score_compound_query(query, start, stop)
         scores = np.zeros(stop - start)
         self._score_native(query, start, stop, scores)
         self._score_cross(query, start, stop, scores)
+        self._score_compounds(query, start, stop, scores)
+        return scores
+
+    def _score_compound_query(
+        self, query: CompoundObject, start: int, stop: int
+    ) -> np.ndarray:
+        """:meth:`CompoundMatcher.score` of a compound query, per candidate.
+
+        Each query part's leaf scores against the range come from the
+        non-compound path.  Against a compound candidate that score is
+        already the best part's score; against any other candidate it is
+        the one part's score.  The weighted mean then runs elementwise in
+        the pairwise path's order.  Zero total part weight raises, as
+        the pairwise division does.
+        """
+        query_parts = CompoundMatcher._parts(query)
+        if not query_parts:
+            return np.zeros(stop - start)
+        total_weight = sum(weight for __, weight in query_parts)
+        if total_weight == 0:
+            raise ZeroDivisionError("compound query parts have zero total weight")
+        aggregate = np.zeros(stop - start)
+        for part, weight in query_parts:
+            aggregate += weight * self.score_range(part, start, stop)
+        return aggregate / total_weight
+
+    def _score_compounds(
+        self, query: InformationItem, start: int, stop: int, scores: np.ndarray
+    ) -> None:
+        """Best-part scores of a leaf query against compound candidates.
+
+        One pass over the parts block covers every compound in the range;
+        ``np.maximum.reduceat`` then takes each compound's best part (a
+        max is exact in any order).  Part-less compounds score 0.0, as in
+        :meth:`CompoundMatcher.score`.
+        """
         lo = bisect_left(self._compound_positions, start)
         hi = bisect_left(self._compound_positions, stop)
-        if hi > lo:
-            positions = self._compound_positions[lo:hi]
-            scores[[p - start for p in positions]] = self.engine.compound.score_many(
-                query, [self.items[p] for p in positions]
-            )
-        return scores
+        if hi <= lo:
+            return
+        parts_block = self._compound_parts()
+        offsets = np.asarray(self._parts_offsets[lo:hi + 1])
+        first, last = int(offsets[0]), int(offsets[-1])
+        if last == first:
+            return
+        has_parts = offsets[1:] > offsets[:-1]
+        leaf_scores = parts_block.score_range(query, first, last)
+        best = np.maximum.reduceat(leaf_scores, offsets[:-1][has_parts] - first)
+        positions = np.asarray(self._compound_positions[lo:hi]) - start
+        # CompoundMatcher.score with the single query part (query, 1.0)
+        scores[positions[has_parts]] = (0.0 + 1.0 * best) / 1.0
 
     def _score_native(
         self, query: InformationItem, start: int, stop: int, scores: np.ndarray
@@ -616,13 +683,8 @@ class CandidateBlock:
             lo = bisect_left(self._text_positions, start)
             hi = bisect_left(self._text_positions, stop)
             if hi > lo:
-                query_bag, __ = self.engine.text._bag(query)
-                positions = [p - start for p in self._text_positions[lo:hi]]
-                scores[positions] = batch_bag_cosine(
-                    query_bag,
-                    self._text_bags[lo:hi],
-                    self._text_norms[lo:hi],
-                )
+                positions = np.asarray(self._text_positions[lo:hi]) - start
+                scores[positions] = self._text_scores_for(query)[lo:hi]
         elif isinstance(query, MediaObject):
             lo = bisect_left(self._media_positions, start)
             hi = bisect_left(self._media_positions, stop)

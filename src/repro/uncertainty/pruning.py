@@ -85,8 +85,9 @@ class QueryBoundState:
     """
 
     is_text: bool
-    #: text query: the sublinear-TF bag and its norm
-    bag: Optional[Dict[str, float]] = None
+    #: text query: the sublinear-TF bag as (term id, weight) pairs in
+    #: sorted term order, and its norm
+    bag: Optional[List[Tuple[int, float]]] = None
     bag_norm: float = 0.0
     #: media query: extracted feature-vector norm
     feature_norm: float = 0.0
@@ -122,8 +123,8 @@ class BoundStats:
 
     def __init__(self) -> None:
         self.count = 0
-        #: inverted term index: term -> max TF weight over text candidates
-        self.term_max: Dict[str, float] = {}
+        #: inverted term index: term id -> max TF weight over text candidates
+        self.term_max: Dict[int, float] = {}
         self.min_text_norm = UNBOUNDED
         self.has_text = False
         self.max_media_norm = 0.0
@@ -147,11 +148,11 @@ class BoundStats:
             return
         if isinstance(item, TextDocument):
             self.has_text = True
-            bag, norm = engine.text._bag(item)
-            if norm > 0.0:
-                if norm < self.min_text_norm:
-                    self.min_text_norm = norm
-                for term, weight in bag.items():
+            bag = engine.text._bag(item)
+            if bag.norm > 0.0:
+                if bag.norm < self.min_text_norm:
+                    self.min_text_norm = bag.norm
+                for term, weight in zip(bag.ids.tolist(), bag.weights.tolist()):
                     if weight > self.term_max.get(term, 0.0):
                         self.term_max[term] = weight
             self._update_lift(item, engine, media=False)
@@ -233,7 +234,7 @@ class BoundStats:
         if state.bag_norm <= 0.0 or not state.bag or self.min_text_norm == UNBOUNDED:
             return 0.0
         dot_cap = 0.0
-        for term, weight in state.bag.items():
+        for term, weight in state.bag:
             chunk_weight = self.term_max.get(term)
             if chunk_weight is not None:
                 dot_cap += weight * chunk_weight
@@ -312,12 +313,12 @@ class BlockBounds:
         engine = self.engine
         lifter = engine.cross.lifter
         if isinstance(query, TextDocument):
-            bag, bag_norm = engine.text._bag(query)
+            bag = engine.text._bag(query)
             vector, lift_norm = lifter.lift_with_norm(query)
             return QueryBoundState(
                 is_text=True,
-                bag=bag,
-                bag_norm=bag_norm,
+                bag=list(zip(bag.ids.tolist(), bag.weights.tolist())),
+                bag_norm=bag.norm,
                 lift_norm=lift_norm,
                 lift_max=float(vector.max()) if vector.size else 0.0,
                 lift_sum=float(vector.sum()),

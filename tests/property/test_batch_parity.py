@@ -8,6 +8,8 @@ Likewise the sorted ``CollectionIndex`` must answer visibility questions
 exactly like the legacy linear scan it replaced.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,21 @@ from repro.data import (
     DomainSpec,
     FeatureExtractor,
     InformationItem,
+    TextDocument,
     TopicSpace,
     Vocabulary,
 )
+from repro.query import Query, QueryKind, RelevanceOracle
 from repro.sim import RngStreams
 from repro.sources import CollectionIndex, InformationSource, SourceQuality
-from repro.uncertainty import build_matching_engine
+from repro.uncertainty import (
+    TermColumns,
+    TermIds,
+    bag_cosine,
+    build_matching_engine,
+    compact_cosine,
+    sublinear_tf,
+)
 
 POOL_SIZE = 60
 
@@ -117,6 +128,160 @@ class TestBatchPairwiseParity:
         scores = block.score(query, limit=limit)
         expected = engine.score_many(query, pool[:limit])
         assert np.array_equal(scores, expected)
+
+
+#: Item ids for generated documents.  The autouse fixture resets the
+#: library's id counter per test while the module-scoped engine caches
+#: per item id, so generated documents need ids of their own.
+_DOC_IDS = itertools.count()
+
+#: Term strings outside the generator's ``wNNNNN`` vocabulary: empty,
+#: whitespace, NUL, non-ASCII, digits and near-duplicates that sort
+#: differently by code point than by any locale.
+ODD_TERMS = [
+    "", " ", "a", "A", "a\x00", "\x00", "ä", "z", "zz", "Z9", "9", "10",
+    "-", "日本", "Ω", "wörd", "w00001", "\U0001f600",
+]
+odd_term = st.one_of(st.sampled_from(ODD_TERMS), st.text(max_size=4))
+weighted_bags = st.dictionaries(
+    odd_term,
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
+    max_size=10,
+)
+term_counts = st.dictionaries(odd_term, st.integers(min_value=0, max_value=6), max_size=10)
+
+
+def _doc(terms) -> TextDocument:
+    return TextDocument(
+        item_id=f"oov-{next(_DOC_IDS)}", domain="pool", latent=np.zeros(2),
+        terms=terms,
+    )
+
+
+class TestTextColumnsParity:
+    """The whole-block text kernel is bitwise the dict ``bag_cosine``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(query=weighted_bags, rows=st.lists(weighted_bags, max_size=12))
+    def test_term_columns_match_bag_cosine(self, query, rows):
+        terms = TermIds()
+        compact_rows = [terms.compact(bag) for bag in rows]
+        compact_query = terms.compact(query)
+        scores = TermColumns(compact_rows).cosine(compact_query)
+        expected = np.array([bag_cosine(query, bag) for bag in rows], dtype=float)
+        assert scores.tobytes() == expected.tobytes()  # bitwise, signed zeros too
+        for bag, compact in zip(rows, compact_rows):
+            assert compact_cosine(compact_query, compact) == bag_cosine(query, bag)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        docs=st.lists(term_counts, max_size=14),
+        queries=st.lists(term_counts, min_size=1, max_size=3),
+        split=st.integers(min_value=0, max_value=14),
+    )
+    def test_block_text_scores_survive_extend(self, parity_world, docs, queries, split):
+        """Scores before and after a live-ingest extend of a built layout."""
+        engine = parity_world[0]
+        items = [_doc(terms) for terms in docs]
+        probes = [_doc(terms) for terms in queries]
+        block = engine.prepare(items[:split])
+        for probe in probes:  # builds the column layout and score rows
+            expected = [
+                bag_cosine(sublinear_tf(probe.terms), sublinear_tf(item.terms))
+                for item in items[:split]
+            ]
+            assert block.score(probe).tobytes() == np.array(expected, dtype=float).tobytes()
+        block.extend(items[split:])
+        for probe in probes:
+            expected = [
+                bag_cosine(sublinear_tf(probe.terms), sublinear_tf(item.terms))
+                for item in items
+            ]
+            scores = block.score(probe)
+            assert scores.tobytes() == np.array(expected, dtype=float).tobytes()
+            assert scores.tolist() == [engine.score(probe, item) for item in items]
+            # chunk-sized slices of the cached whole-block row
+            for start in range(0, len(items), 5):
+                assert np.array_equal(
+                    block.score_range(probe, start, start + 5), scores[start:start + 5]
+                )
+
+
+latent_component = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-1e-12, max_value=0.0),  # clipped, never rejected
+    st.just(-0.0),
+)
+latents = st.one_of(
+    st.lists(latent_component, min_size=10, max_size=10),
+    st.just([0.0] * 10),
+)
+
+
+def _oracle_world(intent, threshold=0.75):
+    oracle = RelevanceOracle(TopicSpace(10), relevance_threshold=threshold)
+    query = Query(
+        kind=QueryKind.TOPIC, terms={"t": 1}, intent_latent=np.array(intent, dtype=float)
+    )
+    return oracle, query
+
+
+def _latent_items(vectors):
+    return [
+        InformationItem(item_id=f"o{i}", domain="d", latent=np.array(v, dtype=float))
+        for i, v in enumerate(vectors)
+    ]
+
+
+class TestOracleBatchParity:
+    """The one-pass oracle audit is bitwise the per-item scalar path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        intent=latents,
+        vectors=st.lists(latents, max_size=20),
+        threshold=st.floats(min_value=0.0, max_value=1.0),
+        k=st.integers(min_value=0, max_value=8),
+    )
+    def test_batched_audit_matches_scalar(self, intent, vectors, threshold, k):
+        oracle, query = _oracle_world(intent, threshold)
+        items = _latent_items(vectors)
+        relevances = oracle.relevance_many(query, items)
+        scalar = np.array([oracle.relevance(query, i) for i in items], dtype=float)
+        assert relevances.tobytes() == scalar.tobytes()
+        assert oracle.relevant_subset(query, items) == [
+            i for i in items if oracle.is_relevant(query, i)
+        ]
+        # nDCG against its definition over scalar relevances
+        if k and items:
+            gains = scalar[:k].tolist()
+            dcg = float(np.dot(gains, 1.0 / np.log2(np.arange(2, len(gains) + 2))))
+            ideal = sorted(scalar.tolist(), reverse=True)[:k]
+            ideal_dcg = float(np.dot(ideal, 1.0 / np.log2(np.arange(2, len(ideal) + 2))))
+            expected = 0.0 if ideal_dcg == 0 else dcg / ideal_dcg
+            assert oracle.ndcg(query, items, k) == expected
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0.5, 0.5, 0.0]],  # wrong shape
+            [[[0.1]] * 10],  # wrong rank
+            [[0.1] * 9 + [-1e-6]],  # negative component
+            [[0.1] * 9 + [-1e-6], [0.5, 0.5]],  # negative before bad shape
+            [[0.5, 0.5], [0.1] * 9 + [-1e-6]],  # bad shape before negative
+        ],
+    )
+    def test_batched_audit_raises_the_scalar_error(self, bad):
+        oracle, query = _oracle_world([0.1] * 10)
+        items = _latent_items([[0.05 * i for i in range(10)]] + bad + [[0.1] * 10])
+        with pytest.raises(ValueError) as scalar:
+            [oracle.is_relevant(query, i) for i in items]
+        with pytest.raises(ValueError) as batched:
+            oracle.relevant_subset(query, items)
+        assert str(batched.value) == str(scalar.value)
+        with pytest.raises(ValueError) as qos:
+            oracle.delivered_qos(query, items[:1], items, 0.0, 0.0)
+        assert str(qos.value) == str(scalar.value)
 
 
 def _item(index: int, domain: str) -> InformationItem:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
+    CompoundObject,
     CorpusGenerator,
     DomainSpec,
     FeatureExtractor,
@@ -218,6 +219,71 @@ class TestTopkPairwiseParity:
         assert stats.candidates_scored <= stats.candidates_total
         if stats.candidates_scored == 0:
             assert ranked == []
+
+
+def _compound(item_id: str, parts) -> CompoundObject:
+    return CompoundObject(
+        item_id=item_id, domain="pool", latent=np.zeros(8), parts=list(parts)
+    )
+
+
+class TestCompoundBlockParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        indices=st.lists(
+            st.integers(min_value=0, max_value=POOL_SIZE - 1),
+            min_size=0, max_size=30,
+        ),
+        empty=st.integers(min_value=0, max_value=3),
+        clones=st.lists(
+            st.integers(min_value=0, max_value=POOL_SIZE - 1),
+            min_size=0, max_size=5,
+        ),
+        query_parts=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=POOL_SIZE - 1),
+                st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+            ),
+            min_size=0, max_size=4,
+        ),
+        query_index=st.integers(min_value=-1, max_value=7),
+        split=st.integers(min_value=0, max_value=40),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    def test_compound_blocks_match_pairwise(
+        self, pruning_world, indices, empty, clones, query_parts, query_index,
+        split, k,
+    ):
+        """Part-less compounds, cloned compounds (tied scores) and
+        multi-part compound queries, with compounds appended after the
+        parts block was built: block ranks == the pairwise oracle."""
+        engine, pool, __, queries, *_ = pruning_world
+        tag = f"{len(indices)}-{empty}-{len(clones)}-{len(query_parts)}-{split}"
+        candidates = [pool[i] for i in indices]
+        candidates += [_compound(f"nopart-{j}", []) for j in range(empty)]
+        candidates += [
+            _compound(f"dupc-{j}-{pool[i].item_id}", pool[i].parts)
+            if isinstance(pool[i], CompoundObject)
+            else _compound(f"wrap-{j}-{pool[i].item_id}", [(pool[i], 1.0)])
+            for j, i in enumerate(clones)
+        ]
+        if query_index < 0:
+            weights = [weight for __, weight in query_parts]
+            if query_parts and sum(weights) == 0:
+                query_parts = [(query_parts[0][0], 1.0)] + query_parts[1:]
+            query = _compound(
+                f"cq-{tag}-{query_parts}",
+                [(pool[i], weight) for i, weight in query_parts],
+            )
+        else:
+            query = queries[query_index]
+        block = engine.prepare(candidates[:split])
+        block.score(query)  # builds the parts block before the extend
+        block.extend(candidates[split:])
+        expected = engine.rank_pairwise(query, candidates)
+        _assert_bitwise(engine.rank_block(query, block), expected)
+        ranked, __ = engine.rank_block_topk(query, block, k)
+        _assert_bitwise(ranked, expected[:k])
 
 
 class TestSourceLiveIngestParity:

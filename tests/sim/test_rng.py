@@ -106,6 +106,29 @@ class TestDrawAccounting:
         streams.fresh("x").random(2)
         assert streams.draw_counts() == {"x": 2}
 
+    def test_fresh_streams_are_not_retained(self):
+        """Per-item ``fresh`` streams leave no generator behind.
+
+        Draw accounting still sees every one of them, so flight-recorder
+        checkpoints and manifests are unchanged.
+        """
+        streams = RngStreams(7)
+        streams.stream("kept").random()
+        retained = len(list(streams.names()))
+        for index in range(1000):
+            streams.fresh(f"noise.{index}").random(2)
+        assert len(list(streams.names())) == retained
+        counts = streams.draw_counts()
+        assert len(counts) == 1001
+        assert sum(counts.values()) == streams.draw_total == 1001
+        assert counts["noise.999"] == 1
+
+    def test_fresh_replays_and_stream_restarts_after_it(self):
+        streams = RngStreams(7)
+        first = streams.fresh("x").random(4)
+        np.testing.assert_array_equal(streams.fresh("x").random(4), first)
+        np.testing.assert_array_equal(streams.stream("x").random(4), first)
+
     def test_reset_zeroes_counts_and_replays_bitstream(self):
         streams = RngStreams(7)
         first = streams.stream("x").random(4)
