@@ -19,7 +19,13 @@ from repro.data import (
     TopicSpace,
     Vocabulary,
 )
-from repro.optimizer import CandidateAssignment, CandidatePlan, evaluate_plan
+from repro.optimizer import (
+    CandidateAssignment,
+    CandidatePlan,
+    ExhaustiveSearch,
+    evaluate_plan,
+    make_evaluator,
+)
 from repro.qos import QoSVector, QoSWeights
 from repro.query import Query, QueryKind
 from repro.sim import RngStreams, Simulator
@@ -31,7 +37,10 @@ from repro.uncertainty import (
     UncertainMatch,
     UncertainResultSet,
     build_matching_engine,
+    risk_averse,
 )
+
+from tests.property import plan_reference
 
 SEED = 79
 
@@ -362,6 +371,44 @@ def test_micro_plan_evaluation(benchmark):
     plan = CandidatePlan(assignments)
     evaluation = benchmark(evaluate_plan, plan, QoSWeights())
     assert 0.0 <= evaluation.utility <= 1.0
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_exhaustive_search(benchmark):
+    """The 4**5 = 1,024-plan space of a similarity search over five domains."""
+    query = Query(
+        kind=QueryKind.TOPIC, terms={"w00001": 3}, k=10,
+        intent_latent=np.array([1.0]),
+    )
+    rng = np.random.default_rng(SEED)
+    table = {}
+    for job in range(5):
+        subquery = query.restricted_to(f"d{job}")
+        candidates = []
+        for index in range(4):
+            response_time = float(rng.uniform(0.1, 5))
+            candidates.append(CandidateAssignment(
+                subquery=subquery, source_id=f"s{index}",
+                expected=QoSVector(
+                    response_time=response_time,
+                    completeness=float(rng.uniform(0.2, 1)),
+                    freshness=float(rng.uniform(0.3, 1)),
+                    correctness=float(rng.uniform(0.5, 1)),
+                    trust=float(rng.uniform(0.3, 1)),
+                ),
+                cost=UncertainEstimate(mean=response_time, std=0.3 * response_time,
+                                       low=0.0, high=4 * response_time),
+                breach_risk=float(rng.uniform(0, 0.4)),
+            ))
+        table[subquery.subquery_id] = candidates
+    evaluator = make_evaluator(QoSWeights(), price_sensitivity=0.02,
+                               risk_profile=risk_averse())
+    result = benchmark(ExhaustiveSearch().search, table, evaluator)
+    best, front, explored = plan_reference.exhaustive_search(table, evaluator)
+    fingerprint = plan_reference.fingerprint
+    assert result.explored == explored == 1024
+    assert fingerprint(result.best) == fingerprint(best)
+    assert [fingerprint(e) for e in result.front] == [fingerprint(e) for e in front]
 
 
 @pytest.mark.benchmark(group="micro")

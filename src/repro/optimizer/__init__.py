@@ -5,9 +5,9 @@ Public API:
 - Candidates: :class:`CandidateEnumerator`, :class:`CandidateAssignment`,
   :func:`discount_by_trust`.
 - Plans: :class:`CandidatePlan`, :class:`PlanEvaluation`,
-  :func:`evaluate_plan`.
-- Pareto: :func:`pareto_front`, :func:`dominates`, :func:`hypervolume`,
-  :func:`regret`.
+  :class:`PlanScorer`, :func:`evaluate_plan`.
+- Pareto: :func:`pareto_front`, :func:`pareto_indices`, :func:`dominates`,
+  :func:`hypervolume`, :func:`regret`.
 - Search: :class:`ExhaustiveSearch`, :class:`GreedySearch`,
   :class:`LocalSearch`, :class:`SearchResult`, :func:`make_evaluator`.
 - Baselines: :class:`RandomPlanner`, :class:`CostGreedyPlanner`,
@@ -36,8 +36,14 @@ from repro.optimizer.parametric import (
     ParametricPlanner,
     scale_candidate,
 )
-from repro.optimizer.pareto import dominates, hypervolume, pareto_front, regret
-from repro.optimizer.plans import CandidatePlan, PlanEvaluation, evaluate_plan
+from repro.optimizer.pareto import (
+    dominates,
+    hypervolume,
+    pareto_front,
+    pareto_indices,
+    regret,
+)
+from repro.optimizer.plans import CandidatePlan, PlanEvaluation, PlanScorer, evaluate_plan
 from repro.optimizer.search import (
     EvolutionarySearch,
     ExhaustiveSearch,
@@ -63,6 +69,7 @@ __all__ = [
     "ParametricPlan",
     "ParametricPlanner",
     "PlanEvaluation",
+    "PlanScorer",
     "QualityGreedyPlanner",
     "RandomPlanner",
     "RoundRobinPlanner",
@@ -76,6 +83,7 @@ __all__ = [
     "hypervolume",
     "make_evaluator",
     "pareto_front",
+    "pareto_indices",
     "regret",
     "scale_candidate",
 ]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.optimizer.plans import PlanEvaluation
 
 
@@ -21,24 +23,39 @@ def dominates(a: PlanEvaluation, b: PlanEvaluation) -> bool:
     return at_least and strictly
 
 
+def pareto_indices(utilities: Sequence[float], prices: Sequence[float]) -> List[int]:
+    """Positions of the non-dominated (utility, price) points, by descending utility.
+
+    One sweep over the points stably sorted by (-utility, price).  In that
+    order no point can dominate an earlier one, so a point joins the front
+    exactly when its price is strictly below every member's (the last
+    member's is the lowest) and its point, rounded to 12 decimals by
+    Python's ``round``, is new.  Duplicate points are kept once (the first
+    encountered).
+    """
+    order = np.lexsort((np.asarray(prices, dtype=float), -np.asarray(utilities, dtype=float)))
+    front: List[int] = []
+    seen_points = set()
+    for index in order.tolist():
+        if front and not prices[index] < prices[front[-1]]:
+            continue
+        point = (round(utilities[index], 12), round(prices[index], 12))
+        if point in seen_points:
+            continue
+        front.append(index)
+        seen_points.add(point)
+    return front
+
+
 def pareto_front(evaluations: Sequence[PlanEvaluation]) -> List[PlanEvaluation]:
     """Non-dominated subset, sorted by descending utility.
 
     Duplicate objective points are kept once (the first encountered).
     """
-    front: List[PlanEvaluation] = []
-    seen_points = set()
-    ordered = sorted(evaluations, key=lambda e: (-e.utility, e.price))
-    for candidate in ordered:
-        point = (round(candidate.utility, 12), round(candidate.price, 12))
-        if point in seen_points:
-            continue
-        if any(dominates(existing, candidate) for existing in front):
-            continue
-        front = [e for e in front if not dominates(candidate, e)]
-        front.append(candidate)
-        seen_points.add(point)
-    return sorted(front, key=lambda e: (-e.utility, e.price))
+    indices = pareto_indices(
+        [e.utility for e in evaluations], [e.price for e in evaluations]
+    )
+    return [evaluations[i] for i in indices]
 
 
 def hypervolume(

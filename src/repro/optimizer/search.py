@@ -10,13 +10,20 @@ construction plus hill-climbing swaps.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
+
+import numpy as np
 
 from repro.optimizer.candidates import CandidateAssignment
-from repro.optimizer.pareto import pareto_front
-from repro.optimizer.plans import CandidatePlan, PlanEvaluation, evaluate_plan
+from repro.optimizer.pareto import pareto_front, pareto_indices
+from repro.optimizer.plans import (
+    CandidatePlan,
+    PlanEvaluation,
+    PlanScorer,
+    assignment_columns,
+)
 from repro.qos.vector import QoSWeights
 from repro.sim.rng import ScopedStreams
 from repro.uncertainty.risk import RiskProfile
@@ -29,17 +36,23 @@ def make_evaluator(
     weights: QoSWeights,
     price_sensitivity: float = 0.02,
     risk_profile: Optional[RiskProfile] = None,
-) -> Evaluator:
+) -> PlanScorer:
     """Bind user preferences into a plan evaluator."""
+    return PlanScorer(weights, price_sensitivity, risk_profile)
 
-    def evaluate(plan: CandidatePlan) -> PlanEvaluation:
-        return evaluate_plan(
-            plan, weights,
-            price_sensitivity=price_sensitivity,
-            risk_profile=risk_profile,
-        )
 
-    return evaluate
+def check_table(table: CandidateTable) -> List[str]:
+    """The sorted job ids of a searchable candidate table.
+
+    Raises ``ValueError`` for an empty table or a job with no candidates.
+    """
+    if not table:
+        raise ValueError("candidate table is empty")
+    job_ids = sorted(table)
+    for job_id in job_ids:
+        if not table[job_id]:
+            raise ValueError(f"job {job_id} has no candidates")
+    return job_ids
 
 
 @dataclass
@@ -76,42 +89,61 @@ class ExhaustiveSearch:
         self.max_plans = max_plans
         self.max_replication = max_replication
 
-    def search(self, table: CandidateTable, evaluator: Evaluator) -> SearchResult:
-        """Search the candidate table; returns the best plan and front."""
-        if not table:
-            raise ValueError("candidate table is empty")
-        job_ids = sorted(table)
-        space = 1
-        for job_id in job_ids:
-            space *= len(table[job_id])
+    def search(self, table: CandidateTable, evaluator: PlanScorer) -> SearchResult:
+        """Search the candidate table; returns the best plan and front.
+
+        ``evaluator`` (what :func:`make_evaluator` returns) scores the
+        whole single-source plan space in one batch; only the best plan
+        and the front become objects.
+        """
+        if not isinstance(evaluator, PlanScorer):
+            raise TypeError("ExhaustiveSearch needs the PlanScorer make_evaluator returns")
+        job_ids = check_table(table)
+        sizes = [len(table[job_id]) for job_id in job_ids]
+        space = math.prod(sizes)
         if space > self.max_plans:
             raise ValueError(
                 f"plan space {space} exceeds max_plans={self.max_plans}; "
                 "use GreedySearch or LocalSearch"
             )
-        evaluations: List[PlanEvaluation] = []
-        for combination in itertools.product(*(table[j] for j in job_ids)):
-            plan = CandidatePlan(
-                {job_id: [choice] for job_id, choice in zip(job_ids, combination)}
-            )
-            evaluations.append(evaluator(plan))
-        if self.max_replication > 1:
-            evaluations.extend(
-                self._replicated_plans(table, evaluator)
-            )
-        best = max(
-            evaluations,
-            key=lambda e: (e.risk_adjusted_utility, -e.price),
+        # Plan i takes candidate grid[i, j] for job j, in itertools.product
+        # order: the last job varies fastest.
+        grid = np.indices(sizes).reshape(len(sizes), -1).T
+        matrix = np.stack(
+            [
+                assignment_columns(table[job_id])[:, grid[:, j]]
+                for j, job_id in enumerate(job_ids)
+            ],
+            axis=-1,
         )
+        scores = evaluator.score_batch(matrix, [1] * len(job_ids))
+        replicated = [evaluator(plan) for plan in self._replicated_plans(table)]
+
+        def evaluation(index: int) -> PlanEvaluation:
+            if index >= space:
+                return replicated[index - space]
+            plan = CandidatePlan({
+                job_id: [table[job_id][grid[index, j]]]
+                for j, job_id in enumerate(job_ids)
+            })
+            return scores.evaluation(index, plan)
+
+        adjusted = np.append(
+            scores.risk_adjusted_utility, [e.risk_adjusted_utility for e in replicated]
+        )
+        prices = scores.columns.price.tolist() + [e.price for e in replicated]
+        # max() by (risk-adjusted utility, -price): the first such plan wins.
+        tied = np.flatnonzero(adjusted == adjusted.max())
+        best = int(tied[np.argmin(np.asarray(prices)[tied])])
+        utilities = scores.utility.tolist() + [e.utility for e in replicated]
         return SearchResult(
-            best=best, front=pareto_front(evaluations), explored=len(evaluations)
+            best=evaluation(best),
+            front=[evaluation(i) for i in pareto_indices(utilities, prices)],
+            explored=space + len(replicated),
         )
 
-    def _replicated_plans(
-        self, table: CandidateTable, evaluator: Evaluator
-    ) -> List[PlanEvaluation]:
+    def _replicated_plans(self, table: CandidateTable) -> Iterator[CandidatePlan]:
         """Plans that replicate every job across its top-r candidates."""
-        evaluations = []
         for r in range(2, self.max_replication + 1):
             assignments = {}
             feasible = True
@@ -125,8 +157,7 @@ class ExhaustiveSearch:
                     break
                 assignments[job_id] = ranked[:r]
             if feasible:
-                evaluations.append(evaluator(CandidatePlan(assignments)))
-        return evaluations
+                yield CandidatePlan(assignments)
 
 
 class GreedySearch:
@@ -134,8 +165,7 @@ class GreedySearch:
 
     def search(self, table: CandidateTable, evaluator: Evaluator) -> SearchResult:
         """Search the candidate table; returns the best plan and front."""
-        if not table:
-            raise ValueError("candidate table is empty")
+        check_table(table)
         assignments: Dict[str, List[CandidateAssignment]] = {}
         explored = 0
         for job_id, candidates in sorted(table.items()):
@@ -148,7 +178,6 @@ class GreedySearch:
                 if value > best_value:
                     best_value = value
                     best_candidate = candidate
-            assert best_candidate is not None
             assignments[job_id] = [best_candidate]
         plan = CandidatePlan(assignments)
         evaluation = evaluator(plan)
@@ -205,8 +234,7 @@ class EvolutionarySearch:
 
     def search(self, table: CandidateTable, evaluator: Evaluator) -> SearchResult:
         """Search the candidate table; returns the best plan and front."""
-        if not table:
-            raise ValueError("candidate table is empty")
+        check_table(table)
         explored = 0
         archive: Dict[tuple, PlanEvaluation] = {}
 

@@ -7,6 +7,7 @@ from repro.data import TextDocument
 from repro.optimizer import (
     CandidateAssignment,
     CostGreedyPlanner,
+    EvolutionarySearch,
     ExhaustiveSearch,
     GreedySearch,
     LocalSearch,
@@ -87,6 +88,26 @@ class TestExhaustive:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             ExhaustiveSearch().search({}, EVALUATOR)
+
+    def test_needs_a_batch_scorer(self, table):
+        with pytest.raises(TypeError):
+            ExhaustiveSearch().search(table, lambda plan: EVALUATOR(plan))
+
+
+@pytest.mark.parametrize(
+    "searcher",
+    [
+        ExhaustiveSearch(),
+        GreedySearch(),
+        LocalSearch(),
+        EvolutionarySearch(RngStreams(2).spawn("evo")),
+    ],
+    ids=["exhaustive", "greedy", "local", "evolutionary"],
+)
+def test_job_without_candidates_rejected(searcher, table):
+    table["j3"] = []
+    with pytest.raises(ValueError, match="^job j3 has no candidates$"):
+        searcher.search(table, EVALUATOR)
 
 
 class TestGreedy:
