@@ -15,23 +15,12 @@ try:
 except ImportError:  # CLI usage (`python benchmarks/bench_f1_scalability.py`)
     pytest = None  # type: ignore[assignment]
 
-import numpy as np
-
 from repro import Consumer, UserProfile, build_agora
 from repro.experiments import ExperimentResult, summarize
 from repro.net import GossipProtocol
-from repro.parallel import ScanCostModel
 from repro.workloads import QueryWorkloadGenerator
 
 SIZES = [4, 8, 16, 32]
-
-#: The large config: a million consumers querying a ten-million-item
-#: agora.  Far beyond what a discrete-event run can simulate object-by-
-#: object, so the large sweep streams a synthetic workload through the
-#: shard cost model instead (see :func:`run_f1_large`).
-LARGE_CONSUMERS = 1_000_000
-LARGE_ITEMS = 10_000_000
-LARGE_SHARD_COUNTS = (1, 2, 4, 8)
 
 
 def run_f1(seed=67, queries_per_size=5) -> ExperimentResult:
@@ -107,75 +96,6 @@ def run_f1(seed=67, queries_per_size=5) -> ExperimentResult:
     return result
 
 
-def run_f1_large(
-    seed=67,
-    n_consumers=LARGE_CONSUMERS,
-    n_items=LARGE_ITEMS,
-    n_sources=64,
-    chunk_size=100_000,
-    shard_counts=LARGE_SHARD_COUNTS,
-) -> ExperimentResult:
-    """F1 at agora scale: 10^6 consumers over 10^7 items, sharded.
-
-    The workload is synthetic and *streamed*: consumer queries arrive in
-    fixed-size chunks and fold into per-source hit counters, so memory
-    stays O(n_sources + chunk_size) no matter how many consumers run —
-    nothing about the sweep materializes a million query objects or ten
-    million items.  Latency is priced by
-    :class:`repro.parallel.ScanCostModel`, the same virtual-time cost
-    model the shard pool's bench gate uses (the CI box has one core;
-    wall-clock would measure the scheduler, not the architecture).
-
-    Item placement follows a Zipf-like skew over sources (rank-harmonic
-    weights) — the big sources that dominate query traffic are exactly
-    the scans where sharding pays.
-    """
-    result = ExperimentResult(
-        "F1-large",
-        f"Sharded scan scaling: {n_consumers:,} consumers / {n_items:,} items",
-        ["n_shards", "mean_rank_latency", "total_sim_time",
-         "queries_per_sim_unit", "speedup_vs_1"],
-    )
-    # Rank-harmonic item placement: source r holds ~ n_items / (r+1) / H.
-    weights = 1.0 / np.arange(1, n_sources + 1)
-    weights /= weights.sum()
-    pool_sizes = np.maximum(1, (weights * n_items).astype(np.int64))
-    # Consumers query a source with probability proportional to its pool
-    # (popular collections attract the traffic).  Stream in chunks,
-    # keeping only per-source hit counts.
-    rng = np.random.default_rng(seed)
-    hits = np.zeros(n_sources, dtype=np.int64)
-    remaining = n_consumers
-    while remaining > 0:
-        batch = min(chunk_size, remaining)
-        drawn = rng.choice(n_sources, size=batch, p=weights)
-        hits += np.bincount(drawn, minlength=n_sources)
-        remaining -= batch
-    model = ScanCostModel()
-    baseline_total = None
-    for n_shards in shard_counts:
-        latency = np.array(
-            [model.rank_latency(int(n), n_shards) for n in pool_sizes]
-        )
-        total = float(hits @ latency)
-        if baseline_total is None:
-            baseline_total = total
-        result.add_row(
-            n_shards,
-            total / n_consumers,
-            total,
-            n_consumers / total,
-            baseline_total / total,
-        )
-    result.add_note(
-        "expected shape: latency falls as shards absorb the per-candidate "
-        "scan until the fixed dispatch/merge overheads dominate; the "
-        "committed gate is >=1.8x at 4 shards, which the cost model meets "
-        "for every pool above a few hundred candidates"
-    )
-    return result
-
-
 if pytest is not None:
 
     @pytest.mark.benchmark(group="F1")
@@ -190,22 +110,6 @@ if pytest is not None:
         assert rows[32][5] > rows[4][5]
         assert rows[32][4] <= rows[4][4]
 
-    @pytest.mark.benchmark(group="F1")
-    def test_f1_large_scalability(benchmark):
-        result = benchmark.pedantic(run_f1_large, rounds=1, iterations=1)
-        result.print()
-        rows = {row[0]: row for row in result.rows}
-        assert rows[1][4] == 1.0
-        # The committed scale-out gate: >=1.8x at 4 shards.
-        assert rows[4][4] >= 1.8
-        # More shards never slow the aggregate workload down.
-        assert rows[1][2] >= rows[2][2] >= rows[4][2] >= rows[8][2]
-
 
 if __name__ == "__main__":
-    import sys
-
-    if "--large" in sys.argv:
-        run_f1_large().print()
-    else:
-        run_f1().print()
+    run_f1().print()

@@ -270,53 +270,6 @@ def test_micro_rank_block_text(benchmark, text_pool):
     )
 
 
-@pytest.fixture(scope="module", params=[1, 2, 4, 8], ids=lambda n: f"shards{n}")
-def shard_pool(request, pruning_pool):
-    """A started shard pool over the 400-item skewed retrieval pool."""
-    from repro.parallel import ShardPool
-
-    engine, pool, query = pruning_pool
-    shards = ShardPool(engine, n_shards=request.param, seed=SEED).start()
-    shards.register("pruning", pool)
-    yield shards, request.param
-    shards.stop()
-
-
-@pytest.mark.benchmark(group="micro-parallel")
-def test_micro_parallel_rank_topk(benchmark, shard_pool, pruning_pool):
-    """Sharded top-k wall-clock at each shard count, parity asserted.
-
-    Wall-clock on a one-core CI box measures IPC overhead, not scan
-    parallelism — the committed speedup gate therefore rides on the
-    virtual-time :class:`~repro.parallel.ScanCostModel` (same discipline
-    as every latency figure in this repo), asserted here per series.
-    Parity stays the hard gate: every shard count must return bitwise
-    the in-process answer.
-    """
-    from repro.parallel import ScanCostModel
-
-    engine, pool, query = pruning_pool
-    shards, n_shards = shard_pool
-    evidence = query.evidence_item()
-
-    def run():
-        return shards.rank_topk(
-            "pruning", evidence, query.k, score_floor=query.threshold
-        )
-
-    ranked, stats = benchmark(run)
-    block = engine.prepare(pool)
-    expected, __ = engine.rank_block_topk(
-        evidence, block, query.k, limit=len(pool),
-        score_floor=query.threshold,
-    )
-    assert ranked == expected  # bitwise: ids, order, floats
-    assert stats.candidates_total == len(pool)
-    assert shards.fallbacks == 0
-    # The scale-out gate over this very pool: >=1.8x at 4 shards.
-    assert ScanCostModel().speedup(len(pool), 4) >= 1.8
-
-
 @pytest.mark.benchmark(group="micro")
 def test_micro_calibrator_predict(benchmark):
     rng = np.random.default_rng(SEED)

@@ -9,8 +9,6 @@ Runs the same seeded scenario several ways and compares wall-clock cost:
   dispatch (one dict update per event).
 - ``dashboard``— tracing on, plus rendering the markdown dashboard and
   exporting the full artifact set (the worst case a benchmark run pays).
-- ``merge``    — snapshotting + deterministically merging four copies of
-  the traced run's telemetry (the coordinator-side cost of a sharded run).
 
 A second, events-driven series schedules the queries on the virtual
 timeline (the scenario above resolves queries synchronously, so it never
@@ -37,7 +35,7 @@ import pytest
 
 from repro import Consumer, UserProfile, build_agora
 from repro.experiments import ExperimentResult, render_run_dashboard
-from repro.obs import SpanTracer, merge_snapshots, snapshot_shard
+from repro.obs import SpanTracer
 from repro.obs.flight import FlightRecorder
 from repro.resilience import ResilienceConfig
 from repro.sim import Simulator
@@ -175,17 +173,6 @@ def run_overhead(seed=23, repeats=3) -> ExperimentResult:
         + len(traced.sim.metrics.histograms())
     )
 
-    def merge_shards():
-        snapshots = [
-            snapshot_shard(shard_id, traced.sim.metrics, tracer=traced.tracer,
-                           sim_time=traced.sim.now,
-                           event_count=traced.sim.processed)
-            for shard_id in range(4)
-        ]
-        merge_snapshots(snapshots)
-
-    merge = timed(merge_shards, repeats)
-
     events_tracing = events_run_seconds(seed=seed, repeats=repeats)
     events_flight = events_run_seconds(seed=seed, flight=True, repeats=repeats)
     kernel_tracing = timed(lambda: run_event_loop(), repeats)
@@ -198,8 +185,6 @@ def run_overhead(seed=23, repeats=3) -> ExperimentResult:
                    spans, metric_count)
     result.add_row("dashboard", round(dashboard, 4), round(dashboard / off, 3),
                    spans, metric_count)
-    result.add_row("merge(4 shards)", round(merge, 4), round(merge / off, 3),
-                   4 * spans, metric_count)
     result.add_row("events-tracing", round(events_tracing, 4), 1.0, 1, 0)
     result.add_row(
         "events-flight", round(events_flight, 4),

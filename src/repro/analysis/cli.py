@@ -7,7 +7,6 @@ slots directly into CI next to ruff and mypy.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.engine import AnalysisEngine
@@ -79,18 +78,7 @@ def _rule_table() -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the linter; returns the process exit code.
-
-    ``python -m repro.analysis effects ...`` dispatches to the
-    interprocedural shard-safety certifier; everything else runs the
-    per-file rule engine as before.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "effects":
-        from repro.analysis.effects.cli import main as effects_main
-
-        return effects_main(list(argv[1:]))
+    """Run the linter; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     if args.list_rules:
         print(_rule_table())

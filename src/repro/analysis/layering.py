@@ -38,7 +38,6 @@ data            -> sim
 net             -> obs sim
 qos             -> obs sim
 uncertainty     -> data obs sim
-parallel        -> analysis data obs uncertainty
 resilience      -> net obs qos sim
 sources         -> data net obs qos sim trust uncertainty
 query           -> data obs qos resilience sim sources uncertainty
@@ -50,7 +49,7 @@ multimodal      -> data personalization query sim sources uncertainty
 collaboration   -> data personalization query uncertainty
 optimizer       -> negotiation qos query sim sources trust uncertainty
 core            -> context data multimodal negotiation net obs optimizer
-                   parallel personalization qos query resilience sim
+                   personalization qos query resilience sim
                    social sources trust uncertainty
 workloads       -> core data multimodal obs personalization qos query
                    sim social uncertainty

@@ -30,15 +30,11 @@ from repro.net.topology import (
     small_world_topology,
     star_topology,
 )
-from repro.obs.context import derive_trace_id
 from repro.obs.flight import FlightRecorder
 from repro.obs.manifest import RunManifest, config_digest
 from repro.obs.profile import SimProfiler
-from repro.obs.aggregate import ShardSnapshot, snapshot_shard
 from repro.obs.slo import SLOMonitor, SLOReport
-from repro.obs.spans import SpanTracer
-from repro.parallel.pool import ShardPool
-from repro.parallel.service import ParallelRankService
+from repro.obs.spans import SpanTracer, derive_trace_id
 from repro.qos.monitor import ContractMonitor, default_qos_slos
 from repro.query.oracle import RelevanceOracle
 from repro.resilience.breaker import BreakerBoard
@@ -156,12 +152,6 @@ class Agora:
         self._wire_update_streams()
         if config.start_update_streams:
             self.start_feeds()
-
-        # --- parallel matching plane ------------------------------------
-        self.parallel: Optional[ParallelRankService] = None
-        self._shard_pool: Optional[ShardPool] = None
-        if config.enable_parallel:
-            self.start_parallel()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -308,60 +298,6 @@ class Agora:
     def inject_faults(self, script: FaultScript) -> int:
         """Install a fault script on the simulator (returns #windows)."""
         return self.faults.install(script)
-
-    # ------------------------------------------------------------------
-    # Parallel matching plane
-    # ------------------------------------------------------------------
-    def start_parallel(self, n_shards: Optional[int] = None) -> ParallelRankService:
-        """Start the shard pool and route retrieve-path ranks through it.
-
-        Idempotent; returns the active service.  Sharding never changes
-        results (bitwise — see :mod:`repro.parallel.merge`) or simulated
-        timings; it changes which host process does the scoring work.
-        Call :meth:`stop_parallel` (or rely on process exit cleanup) to
-        release the workers and their shared-memory segments.
-        """
-        if self.parallel is not None:
-            return self.parallel
-        pool = ShardPool(
-            self.engine,
-            n_shards if n_shards is not None else self.config.n_shards,
-            seed=self.config.seed,
-            trace_scope="agora-parallel",
-        )
-        pool.start()
-        service = ParallelRankService(pool)
-        service.assign_domains(self.registry.domains())
-        self._shard_pool = pool
-        self.parallel = service
-        return service
-
-    def stop_parallel(self) -> None:
-        """Stop the shard pool and unlink its shared memory (idempotent)."""
-        if self._shard_pool is not None:
-            self._shard_pool.stop()
-        self._shard_pool = None
-        self.parallel = None
-
-    def parallel_snapshots(self) -> List[ShardSnapshot]:
-        """Coordinator + per-worker telemetry snapshots of the pool.
-
-        Shard 0 is the agora's own registry/tracer; shards 1..n are the
-        pool workers.  Feed the list to
-        :func:`repro.obs.aggregate.merge_snapshots` /
-        :func:`~repro.obs.aggregate.export_merged_run` for one merged
-        cross-process view.  Empty when the pool is not running.
-        """
-        if self._shard_pool is None or not self._shard_pool.started:
-            return []
-        coordinator = snapshot_shard(
-            0,
-            self.sim.metrics,
-            tracer=self.tracer,
-            sim_time=self.sim.now,
-            event_count=self.sim.processed,
-        )
-        return [coordinator] + self._shard_pool.snapshots()
 
     def run_manifest(self, **labels: str) -> RunManifest:
         """Canonical provenance record of this agora's run so far.

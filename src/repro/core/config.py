@@ -54,14 +54,6 @@ class AgoraConfig:
     #: with periodic digest checkpoints, so two runs can be aligned by
     #: ``python -m repro.obs divergence`` down to the first forked event
     enable_flight_recorder: bool = False
-    #: fan retrieve-path ranking out over a persistent shard-worker pool
-    #: (:mod:`repro.parallel`); answers are bitwise identical with this
-    #: on or off — the pool buys host-level parallelism, not different
-    #: results — and simulated timings are untouched either way
-    enable_parallel: bool = False
-    #: worker count for the shard pool (used when ``enable_parallel`` or
-    #: when :meth:`repro.core.agora.Agora.start_parallel` is called)
-    n_shards: int = 2
     #: default consumer-side resilience policies (off unless enabled);
     #: individual consumers may override with their own config
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
@@ -79,8 +71,6 @@ class AgoraConfig:
             raise ValueError(f"topology must be one of {TOPOLOGY_KINDS}")
         if self.planner not in PLANNER_KINDS:
             raise ValueError(f"planner must be one of {PLANNER_KINDS}")
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
         for name in ("overpromise_range", "coverage_range",
                      "error_rate_range", "freshness_lag_range"):
             low, high = getattr(self, name)

@@ -316,7 +316,6 @@ class Consumer:
             trust=self.trust_in,
             resilience=self.resilience,
             tracer=agora.tracer,
-            parallel=agora.parallel,
         )
         return QueryExecutor(context).execute(plan, query)
 

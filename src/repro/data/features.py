@@ -118,9 +118,6 @@ class FeatureExtractor:
         return self._projections[name]
 
     # ------------------------------------------------------------------
-    # agora: worker-local extraction is a pure function of (feature_set,
-    # item); each worker re-derives identical projections and noise from
-    # its own RNG scope, so the lazy projection cache never diverges
     def extract(self, obj: MediaObject, feature_set: str) -> np.ndarray:
         """Return the observable feature vector of ``obj``.
 

@@ -6,13 +6,8 @@ executor, experiments — can record into one shared vocabulary:
 
 - :class:`SpanTracer` / :class:`Span` — causal span trees over the
   virtual clock, propagated through the kernel's event queue.
-- :class:`TraceContext` (``obs.context``) — the serializable capsule
-  that continues a coordinator span inside a worker process, with
-  per-shard span-id namespaces so merged traces are collision-free.
 - :class:`MetricsRegistry` — counters, gauges and fixed-bucket
   histograms with deterministic snapshots.
-- :class:`ShardSnapshot` / :func:`merge_snapshots` (``obs.aggregate``) —
-  the order-free deterministic merge of N shards' telemetry.
 - :class:`SimProfiler` (``obs.profile``) — sim-time profiler over
   kernel event dispatch: folded-stack flamegraph output + hotspots.
 - :class:`FlightRecorder` (``obs.flight``) — streaming byte-stable
@@ -23,31 +18,12 @@ executor, experiments — can record into one shared vocabulary:
 - :class:`SLOSpec` / :class:`SLOMonitor` (``obs.slo``) — declarative
   SLOs evaluated as rolling burn-rate windows, observe-only.
 - :class:`RunManifest` / :func:`diff_manifests` — canonical run
-  provenance (now with per-shard sections); two runs are attested
-  identical iff their diff is clean.
+  provenance; two runs are attested identical iff their diff is clean.
 - JSONL exporters, a markdown dashboard renderer, and the
-  ``python -m repro.obs`` CLI (``summary [--by-shard]`` / ``spans`` /
+  ``python -m repro.obs`` CLI (``summary`` / ``spans`` /
   ``diff`` / ``flame`` / ``slo`` / ``divergence``).
 """
 
-from repro.obs.aggregate import (
-    MergedRun,
-    ShardSnapshot,
-    export_merged_run,
-    load_shard_snapshot,
-    merge_snapshots,
-    merged_manifest,
-    snapshot_shard,
-    write_merged_spans_jsonl,
-    write_shard_snapshot,
-)
-from repro.obs.context import (
-    SHARD_SPAN_STRIDE,
-    TraceContext,
-    derive_trace_id,
-    seq_of,
-    shard_of,
-)
 from repro.obs.dashboard import append_dashboard, render_dashboard, span_cost_rows
 from repro.obs.divergence import (
     DivergenceReport,
@@ -55,7 +31,7 @@ from repro.obs.divergence import (
     RunAlignment,
     StreamDelta,
     align_runs,
-    discover_recordings,
+    discover_recording,
     find_divergence,
     load_recording,
     render_alignment,
@@ -109,6 +85,7 @@ from repro.obs.spans import (
     SpanTracer,
     ancestors,
     child_map,
+    derive_trace_id,
     descendants_of,
     span_index,
 )
@@ -117,7 +94,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "NULL_SPAN",
     "NULL_TRACER",
-    "SHARD_SPAN_STRIDE",
     "Counter",
     "DivergenceReport",
     "Drift",
@@ -127,7 +103,6 @@ __all__ = [
     "Histogram",
     "HotSpot",
     "ManifestDiff",
-    "MergedRun",
     "MetricsRegistry",
     "RunAlignment",
     "RunManifest",
@@ -135,12 +110,10 @@ __all__ = [
     "SLOReport",
     "SLOSpec",
     "SLOStatus",
-    "ShardSnapshot",
     "SimProfiler",
     "Span",
     "SpanTracer",
     "StreamDelta",
-    "TraceContext",
     "align_runs",
     "ancestors",
     "append_dashboard",
@@ -151,34 +124,25 @@ __all__ = [
     "derive_trace_id",
     "descendants_of",
     "diff_manifests",
-    "discover_recordings",
-    "export_merged_run",
+    "discover_recording",
     "export_run",
     "find_divergence",
     "flatten_manifest",
     "load_manifest",
     "load_metrics_jsonl",
     "load_recording",
-    "load_shard_snapshot",
     "load_slo_report",
     "load_spans_jsonl",
-    "merge_snapshots",
-    "merged_manifest",
     "parse_folded",
     "render_alignment",
     "render_dashboard",
     "render_hotspots",
     "render_report",
-    "seq_of",
-    "shard_of",
-    "snapshot_shard",
     "span_cost_rows",
     "span_index",
     "write_manifest",
-    "write_merged_spans_jsonl",
     "write_metrics_jsonl",
     "write_profile",
-    "write_shard_snapshot",
     "write_slo_report",
     "write_spans_jsonl",
 ]

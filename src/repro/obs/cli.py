@@ -2,9 +2,8 @@
 
 Subcommands
 -----------
-``summary <manifest.json> [--by-shard]``
-    Print a run's provenance header and its metric snapshot; with
-    ``--by-shard``, also the per-shard sections of a merged manifest.
+``summary <manifest.json>``
+    Print a run's provenance header and its metric snapshot.
 ``spans <spans.jsonl>``
     Render the exported span forest as an indented causal tree.
 ``diff <left-manifest.json> <right-manifest.json>``
@@ -17,7 +16,7 @@ Subcommands
     when any SLO is critical (the default stays observe-only).
 ``divergence <left> <right> [--context K] [--json]``
     Align two flight recordings (or two run directories holding one
-    recording per shard) and name the first event at which they stop
+    recording each) and name the first event at which they stop
     being bitwise-identical; exit 0 identical, 1 diverged.
 
 Exit codes: 0 success (and clean diff / non-breached strict slo /
@@ -60,12 +59,18 @@ def _load_artifact(loader: Callable[..., Any], *paths: str, **kwargs: Any) -> An
     Every subcommand funnels its file access through here, so a missing
     file, a permissions problem or malformed content produces the same
     ``error: <reason>`` + exit-2 behavior regardless of which artifact
-    kind was being read.
+    kind was being read.  Valid JSON of the wrong shape (a list or a
+    string where an object belongs) surfaces from the loaders as a
+    ``TypeError`` or ``AttributeError`` and is reported the same way.
     """
     try:
         return loader(*paths, **kwargs)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ArtifactError(str(exc)) from exc
+    except (TypeError, AttributeError) as exc:
+        raise ArtifactError(
+            f"{', '.join(paths)}: malformed artifact (wrong JSON shape: {exc})"
+        ) from exc
 
 
 def _render_attributes(span: Span) -> str:
@@ -100,7 +105,7 @@ def render_span_tree(spans: Sequence[Span], limit: Optional[int] = None) -> str:
     return "\n".join(lines)
 
 
-def _render_summary(manifest: RunManifest, top: int, by_shard: bool = False) -> str:
+def _render_summary(manifest: RunManifest, top: int) -> str:
     lines = [
         f"seed:           {manifest.seed}",
         f"config digest:  {manifest.config_digest}",
@@ -108,19 +113,6 @@ def _render_summary(manifest: RunManifest, top: int, by_shard: bool = False) -> 
         f"events:         {manifest.event_count}",
         f"spans:          {manifest.span_count}",
     ]
-    if by_shard:
-        if not manifest.shards:
-            lines.append("shards:         (single-process run: no per-shard sections)")
-        else:
-            lines.append(f"shards ({len(manifest.shards)}):")
-            for shard_id in sorted(manifest.shards, key=int):
-                section = manifest.shards[shard_id]
-                lines.append(
-                    f"  shard {shard_id}: sim_time={section.get('sim_time', 0.0):g} "
-                    f"events={section.get('event_count', 0)} "
-                    f"spans={section.get('span_count', 0)} "
-                    f"dropped={section.get('dropped_spans', 0)}"
-                )
     metrics: Dict[str, Any] = manifest.metrics
     counters: Dict[str, float] = dict(metrics.get("counters", {}))
     if counters:
@@ -152,11 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     summary.add_argument("manifest", help="path to manifest.json")
     summary.add_argument(
         "--top", type=int, default=10, help="how many metrics to show (default 10)"
-    )
-    summary.add_argument(
-        "--by-shard",
-        action="store_true",
-        help="also print the per-shard sections of a merged manifest",
     )
 
     spans = subparsers.add_parser("spans", help="render an exported span tree")
@@ -235,7 +222,7 @@ def _render_slo(report: SLOReport, strict: bool) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "summary":
         manifest = _load_artifact(load_manifest, args.manifest)
-        print(_render_summary(manifest, top=args.top, by_shard=args.by_shard))
+        print(_render_summary(manifest, top=args.top))
         return 0
     if args.command == "spans":
         spans = _load_artifact(load_spans_jsonl, args.spans)

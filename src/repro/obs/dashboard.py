@@ -113,24 +113,6 @@ def render_dashboard(
                 "",
             ]
         )
-        if manifest.shards:
-            lines.extend(["### Shards", ""])
-            rows = []
-            for shard_id in sorted(manifest.shards, key=int):
-                section = manifest.shards[shard_id]
-                rows.append(
-                    [
-                        shard_id,
-                        _format(float(section.get("sim_time", 0.0))),
-                        str(int(section.get("event_count", 0))),
-                        str(int(section.get("span_count", 0))),
-                        str(int(section.get("dropped_spans", 0))),
-                    ]
-                )
-            lines.extend(
-                _table(["shard", "sim time", "events", "spans", "dropped"], rows)
-            )
-            lines.append("")
     if slo_report is not None and slo_report.statuses:
         lines.extend(["### SLO burn rates", ""])
         lines.extend(

@@ -1,7 +1,7 @@
 """First-divergence debugger over flight recordings.
 
 Given two recordings written by :class:`repro.obs.flight.FlightRecorder`
-(or two run directories holding one recording per shard), this module
+(or two run directories holding one recording each), this module
 answers "**where** did these runs stop being bitwise-identical?":
 
 1. If the footer digests match, the recordings are identical — done.
@@ -59,11 +59,6 @@ class FlightRecording:
     entries: List[Dict[str, Any]]
     checkpoint_positions: List[int]
     spans: Optional[List[Span]] = None
-
-    @property
-    def shard_id(self) -> int:
-        """Namespace index of the process that recorded this log."""
-        return int(self.footer.get("shard_id", 0))
 
     @property
     def digest(self) -> str:
@@ -127,34 +122,19 @@ def load_recording(path: PathLike) -> FlightRecording:
     return recording
 
 
-def discover_recordings(path: PathLike) -> Dict[int, FlightRecording]:
-    """Map shard id → recording for a recording or run directory.
+def discover_recording(path: PathLike) -> FlightRecording:
+    """Load the recording at ``path`` or inside run directory ``path``.
 
     Accepts either a recording directory itself (containing
-    ``footer.json``), or a run directory containing ``flight/`` and/or
-    ``shard-*/flight/`` sub-recordings (the layout produced by
-    ``export_run`` and the sharded demo).
+    ``footer.json``) or a run directory with a ``flight/`` recording
+    inside (the layout produced by ``export_run``).
     """
     root = Path(path)
     if (root / FOOTER_FILE).is_file():
-        recording = load_recording(root)
-        return {recording.shard_id: recording}
-    candidates = [root / "flight"]
-    candidates.extend(sorted(root.glob("shard-*/flight")))
-    recordings: Dict[int, FlightRecording] = {}
-    for candidate in candidates:
-        if not (candidate / FOOTER_FILE).is_file():
-            continue
-        recording = load_recording(candidate)
-        if recording.shard_id in recordings:
-            raise ValueError(
-                f"duplicate shard id {recording.shard_id} under {root} "
-                f"({recordings[recording.shard_id].path} vs {recording.path})"
-            )
-        recordings[recording.shard_id] = recording
-    if not recordings:
-        raise ValueError(f"no flight recordings found under {root}")
-    return recordings
+        return load_recording(root)
+    if (root / "flight" / FOOTER_FILE).is_file():
+        return load_recording(root / "flight")
+    raise ValueError(f"no flight recording found under {root}")
 
 
 @dataclass(frozen=True)
@@ -172,16 +152,13 @@ class StreamDelta:
 
 @dataclass
 class DivergenceReport:
-    """Where (and how) one shard's recordings stop matching.
+    """Where (and how) two recordings stop matching.
 
     ``kind`` is one of ``identical``, ``event`` (an event record
-    differs), ``rng-checkpoint`` (only per-stream counters differ),
-    ``truncated`` (one log is a strict prefix of the other) or
-    ``missing-left`` / ``missing-right`` (the shard exists on one side
-    only).
+    differs), ``rng-checkpoint`` (only per-stream counters differ) or
+    ``truncated`` (one log is a strict prefix of the other).
     """
 
-    shard_id: int
     kind: str
     left_events: int = 0
     right_events: int = 0
@@ -198,13 +175,12 @@ class DivergenceReport:
 
     @property
     def identical(self) -> bool:
-        """Whether this shard's recordings are bitwise-identical."""
+        """Whether the two recordings are bitwise-identical."""
         return self.kind == "identical"
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for ``--json`` output."""
         return {
-            "shard_id": self.shard_id,
             "kind": self.kind,
             "left_events": self.left_events,
             "right_events": self.right_events,
@@ -221,7 +197,6 @@ class DivergenceReport:
         }
 
 
-# agora: shard-safe
 def _differing_fields(left: Dict[str, Any], right: Dict[str, Any]) -> List[str]:
     """Sorted keys on which two parsed log entries disagree."""
     keys = set(left) | set(right)
@@ -231,7 +206,6 @@ def _differing_fields(left: Dict[str, Any], right: Dict[str, Any]) -> List[str]:
     )
 
 
-# agora: shard-safe
 def _stream_deltas(
     left: Dict[str, int], right: Dict[str, int]
 ) -> List[StreamDelta]:
@@ -244,7 +218,6 @@ def _stream_deltas(
     ]
 
 
-# agora: shard-safe
 def _span_stack(span_id: Optional[int], spans: Optional[Sequence[Span]]) -> Optional[str]:
     """``root > … > leaf`` rendering of a span's ancestor chain."""
     if span_id is None or spans is None:
@@ -295,9 +268,7 @@ def find_divergence(
     context: int = DEFAULT_CONTEXT,
 ) -> DivergenceReport:
     """Locate the first divergent log entry between two recordings."""
-    shard_id = left.shard_id
     report = DivergenceReport(
-        shard_id=shard_id,
         kind="identical",
         left_events=left.events,
         right_events=right.events,
@@ -377,7 +348,6 @@ def find_divergence(
     return report
 
 
-# agora: shard-safe
 def _counters_at_or_after(recording: FlightRecording, position: int) -> Dict[str, int]:
     """Stream counters from the first checkpoint at/after ``position``.
 
@@ -394,7 +364,6 @@ def _counters_at_or_after(recording: FlightRecording, position: int) -> Dict[str
     }
 
 
-# agora: shard-safe
 def _matching_context(
     recording: FlightRecording, position: int, context: int
 ) -> List[Dict[str, Any]]:
@@ -411,23 +380,20 @@ def _matching_context(
 
 @dataclass
 class RunAlignment:
-    """Per-shard divergence reports for two runs."""
+    """The divergence report for two runs, with the paths compared."""
 
     left_path: str
     right_path: str
-    reports: List[DivergenceReport]
+    report: DivergenceReport
 
     @property
     def identical(self) -> bool:
-        """Whether every shard's recordings are bitwise-identical."""
-        return all(report.identical for report in self.reports)
+        """Whether the two runs' recordings are bitwise-identical."""
+        return self.report.identical
 
     def first_divergence(self) -> Optional[DivergenceReport]:
-        """The divergent report with the lowest shard id, if any."""
-        for report in self.reports:
-            if not report.identical:
-                return report
-        return None
+        """The report when the runs diverged, else ``None``."""
+        return None if self.report.identical else self.report
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for ``--json`` output."""
@@ -435,7 +401,7 @@ class RunAlignment:
             "left": self.left_path,
             "right": self.right_path,
             "identical": self.identical,
-            "reports": [report.to_dict() for report in self.reports],
+            "report": self.report.to_dict(),
         }
 
 
@@ -444,38 +410,15 @@ def align_runs(
     right_path: PathLike,
     context: int = DEFAULT_CONTEXT,
 ) -> RunAlignment:
-    """Compare all shards of two runs (single recordings included)."""
-    left_map = discover_recordings(left_path)
-    right_map = discover_recordings(right_path)
-    reports: List[DivergenceReport] = []
-    for shard_id in sorted(set(left_map) | set(right_map)):
-        left = left_map.get(shard_id)
-        right = right_map.get(shard_id)
-        if left is None:
-            assert right is not None
-            reports.append(
-                DivergenceReport(
-                    shard_id=shard_id,
-                    kind="missing-left",
-                    right_events=right.events,
-                )
-            )
-        elif right is None:
-            reports.append(
-                DivergenceReport(
-                    shard_id=shard_id,
-                    kind="missing-right",
-                    left_events=left.events,
-                )
-            )
-        else:
-            reports.append(find_divergence(left, right, context=context))
+    """Compare the recordings of two runs (or two recordings)."""
+    report = find_divergence(
+        discover_recording(left_path), discover_recording(right_path), context=context
+    )
     return RunAlignment(
-        left_path=str(left_path), right_path=str(right_path), reports=reports
+        left_path=str(left_path), right_path=str(right_path), report=report
     )
 
 
-# agora: shard-safe
 def _render_entry(entry: Optional[Dict[str, Any]]) -> str:
     """One-line rendering of a parsed log entry."""
     if entry is None:
@@ -494,35 +437,23 @@ def _render_entry(entry: Optional[Dict[str, Any]]) -> str:
     )
 
 
-# agora: shard-safe
 def render_report(report: DivergenceReport) -> str:
-    """Human-readable rendering of one shard's divergence report."""
-    head = f"shard {report.shard_id}: "
+    """Human-readable rendering of one divergence report."""
     if report.identical:
-        return (
-            head + f"identical ({report.left_events} events, digests match)"
-        )
+        return f"identical ({report.left_events} events, digests match)"
     lines: List[str] = []
-    if report.kind == "missing-left":
-        lines.append(head + "recording missing on the left side")
-        return "\n".join(lines)
-    if report.kind == "missing-right":
-        lines.append(head + "recording missing on the right side")
-        return "\n".join(lines)
     if report.kind == "truncated":
         lines.append(
-            head
-            + f"DIVERGED — one recording is a prefix of the other "
+            f"DIVERGED — one recording is a prefix of the other "
             f"(left {report.left_events} vs right {report.right_events} events)"
         )
     elif report.kind == "rng-checkpoint":
         lines.append(
-            head
-            + "DIVERGED at an RNG accounting checkpoint "
+            "DIVERGED at an RNG accounting checkpoint "
             "(event records match; streams traded draws)"
         )
     else:
-        lines.append(head + f"DIVERGED at log entry {report.index}")
+        lines.append(f"DIVERGED at log entry {report.index}")
     if report.window is not None:
         lines.append(
             f"  window: entries {report.window[0]}..{report.window[1]} "
@@ -551,15 +482,13 @@ def render_report(report: DivergenceReport) -> str:
     return "\n".join(lines)
 
 
-# agora: shard-safe
 def render_alignment(alignment: RunAlignment) -> str:
     """Human-readable rendering of a whole-run alignment."""
     lines = [
         f"left : {alignment.left_path}",
         f"right: {alignment.right_path}",
+        render_report(alignment.report),
     ]
-    for report in alignment.reports:
-        lines.append(render_report(report))
     if alignment.identical:
         lines.append("runs are bitwise-identical")
     return "\n".join(lines)

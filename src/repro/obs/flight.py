@@ -51,7 +51,6 @@ DEFAULT_CHECKPOINT_INTERVAL = 64
 DEFAULT_CHUNK_LINES = 4096
 
 
-# agora: shard-safe
 def callback_identity(action: Callable[..., Any]) -> str:
     """Deterministic ``module:qualname`` identity of an event callback.
 
@@ -92,26 +91,19 @@ class FlightRecorder:
         Events between checkpoint lines (digest + stream counters).
     chunk_lines:
         JSONL lines per chunk file when streaming to a directory.
-    shard_id:
-        Namespace index of the recording process (coordinator = 0),
-        matching ``repro.obs.context`` span-id namespaces.
     """
 
     def __init__(
         self,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         chunk_lines: int = DEFAULT_CHUNK_LINES,
-        shard_id: int = 0,
     ) -> None:
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         if chunk_lines <= 0:
             raise ValueError("chunk_lines must be positive")
-        if shard_id < 0:
-            raise ValueError("shard_id must be non-negative")
         self._interval = checkpoint_interval
         self._chunk_lines = chunk_lines
-        self._shard_id = shard_id
         self._digest = hashlib.sha256()
         self._pending: List[str] = []
         self._chunks_written = 0
@@ -166,11 +158,6 @@ class FlightRecorder:
 
     # -- introspection -----------------------------------------------------
     @property
-    def shard_id(self) -> int:
-        """Namespace index of the recording process."""
-        return self._shard_id
-
-    @property
     def record_count(self) -> int:
         """Event records written so far (checkpoint lines excluded)."""
         return self._events
@@ -185,8 +172,6 @@ class FlightRecorder:
         return [dict(entry) for entry in self._checkpoints]
 
     # -- recording (kernel hot path) ---------------------------------------
-    # agora: worker-local per-run event log; recordings are compared
-    # across runs/shards only after export
     def record(
         self,
         seq: int,
@@ -273,7 +258,6 @@ class FlightRecorder:
         """The footer payload as of now (written by :meth:`finalize`)."""
         return {
             "version": FLIGHT_VERSION,
-            "shard_id": self._shard_id,
             "events": self._events,
             "digest": self._digest.hexdigest(),
             "checkpoint_interval": self._interval,
@@ -305,11 +289,10 @@ class FlightRecorder:
         return {
             "digest": self._digest.hexdigest(),
             "events": self._events,
-            "shard_id": self._shard_id,
         }
 
     def __repr__(self) -> str:
         return (
             f"FlightRecorder(events={self._events}, "
-            f"checkpoints={len(self._checkpoints)}, shard={self._shard_id})"
+            f"checkpoints={len(self._checkpoints)})"
         )

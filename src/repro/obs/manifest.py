@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 #: Manifest schema version; bump on incompatible field changes.
-#: "2" added the per-shard ``shards`` sections (multi-process merges).
-MANIFEST_VERSION = "2"
+#: "3" dropped the per-shard ``shards`` sections of version "2".
+MANIFEST_VERSION = "3"
 
 
 def _jsonable(value: Any) -> Any:
@@ -57,15 +57,10 @@ class RunManifest:
     event_count: int
     span_count: int
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: per-shard provenance sections for merged multi-process runs, keyed
-    #: by decimal shard id (empty for single-process runs); *included* in
-    #: drift comparison — a shard appearing, vanishing or drifting is a
-    #: reportable difference
-    shards: Dict[str, Any] = field(default_factory=dict)
-    #: flight-recording provenance (rolling digest, event count, shard
-    #: id) for runs recorded with ``enable_flight_recorder``; *included*
-    #: in drift comparison — a drifted flight digest means the recordings
-    #: are available for ``python -m repro.obs divergence``.  Omitted from
+    #: flight-recording provenance (rolling digest, event count) for
+    #: runs recorded with ``enable_flight_recorder``; *included* in drift
+    #: comparison — a drifted flight digest means the recordings are
+    #: available for ``python -m repro.obs divergence``.  Omitted from
     #: the serialized form when empty so recorder-off manifests (and
     #: their digests) are byte-identical to pre-flight manifests.
     flight: Dict[str, Any] = field(default_factory=dict)
@@ -84,7 +79,6 @@ class RunManifest:
             "event_count": self.event_count,
             "span_count": self.span_count,
             "metrics": self.metrics,
-            "shards": {key: dict(value) for key, value in self.shards.items()},
             "labels": dict(self.labels),
         }
         if self.flight:
@@ -110,7 +104,6 @@ class RunManifest:
             event_count=int(payload["event_count"]),
             span_count=int(payload["span_count"]),
             metrics=dict(payload.get("metrics", {})),
-            shards=dict(payload.get("shards", {})),
             flight=dict(payload.get("flight", {})),
             labels=dict(payload.get("labels", {})),
             version=str(payload.get("version", MANIFEST_VERSION)),

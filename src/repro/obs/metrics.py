@@ -136,61 +136,6 @@ class Histogram:
             cumulative += bucket_count
         return self.maximum
 
-    # -- shard-merge support ---------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Full serializable state (exact bucket counts, not a summary).
-
-        Unlike :meth:`summary`, this captures everything needed to merge
-        histograms bucket-wise across shards; ``min``/``max`` serialize
-        as ``None`` when empty so the payload stays JSON-clean.
-        """
-        return {
-            "buckets": list(self.buckets),
-            "counts": list(self._counts),
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum if self.count else None,
-        }
-
-    @classmethod
-    def from_state(cls, name: str, state: Dict[str, Any]) -> "Histogram":
-        """Inverse of :meth:`state_dict`."""
-        histogram = cls(name, tuple(float(b) for b in state["buckets"]))
-        counts = [int(c) for c in state["counts"]]
-        if len(counts) != len(histogram._counts):
-            raise ValueError(
-                f"histogram {name!r}: state has {len(counts)} bucket counts, "
-                f"expected {len(histogram._counts)}"
-            )
-        histogram._counts = counts
-        histogram.count = int(state["count"])
-        histogram.total = float(state["total"])
-        if histogram.count:
-            histogram.minimum = float(state["min"])
-            histogram.maximum = float(state["max"])
-        return histogram
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations in, bucket-wise and exactly.
-
-        Requires identical bucket bounds — merging histograms with
-        different ladders would silently degrade quantile resolution, so
-        it is an error instead.
-        """
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}: "
-                "bucket bounds differ"
-            )
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self.minimum = min(self.minimum, other.minimum)
-            self.maximum = max(self.maximum, other.maximum)
-
     def summary(self) -> Dict[str, float]:
         """Compact summary: count, mean, min, max, p50/p90/p99."""
         if self.count == 0:

@@ -74,8 +74,6 @@ class SimProfiler:
         """Whether this profiler records anything."""
         return self._enabled
 
-    # agora: worker-local per-worker sample table keyed by span id; each
-    # worker's profile is merged (or exported per shard) after the run
     def record(self, span_id: Optional[int], now: float) -> None:
         """Attribute the time since the previous event to ``span_id``.
 
@@ -172,7 +170,6 @@ class SimProfiler:
         }
 
 
-# agora: shard-safe
 def render_hotspots(hotspots: Sequence[HotSpot], total_sim_time: float = 0.0) -> str:
     """Text table of a hotspot list (widths fixed, deterministic)."""
     if not hotspots:
@@ -186,7 +183,6 @@ def render_hotspots(hotspots: Sequence[HotSpot], total_sim_time: float = 0.0) ->
     return "\n".join(lines)
 
 
-# agora: shard-safe
 def parse_folded(text: str) -> List[Tuple[str, int]]:
     """Parse folded-stack lines back into ``(stack, value)`` pairs."""
     entries: List[Tuple[str, int]] = []

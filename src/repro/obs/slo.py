@@ -213,7 +213,6 @@ class SLOReport:
         return "\n".join(lines)
 
 
-# agora: shard-safe
 def _classify(burn_rate: float) -> str:
     if burn_rate >= BURN_CRITICAL:
         return "critical"
@@ -277,8 +276,6 @@ class SLOMonitor:
         """Number of retained samples."""
         return len(self._samples)
 
-    # agora: worker-local sample ring and its bound registry are per-worker;
-    # reports are recomputed from merged registries after the run
     def sample(self, now: float) -> None:
         """Capture the registry's cumulative state at sim time ``now``."""
         counters = {

@@ -16,30 +16,31 @@ seconds later is still a descendant of the query that caused it.
 Determinism contract: span ids come from a local sequence counter and
 all timestamps are read from the bound virtual clock, so two same-seed
 runs produce byte-identical span trees.
-
-For multi-process runs the tracer is *shard-aware*: each tracer
-allocates span ids inside its own :data:`~repro.obs.context.SHARD_SPAN_STRIDE`
-namespace block, a coordinator mints :class:`~repro.obs.context.TraceContext`
-capsules with :meth:`SpanTracer.context_for`, and a worker continues the
-coordinator's trace by calling :meth:`SpanTracer.attach` before
-recording anything — merged traces are collision-free and bitwise
-reproducible (see :mod:`repro.obs.aggregate`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
-
-from repro.obs.context import SHARD_SPAN_STRIDE, TraceContext
 
 Clock = Callable[[], float]
 
 
 def _zero_clock() -> float:
     return 0.0
+
+
+def derive_trace_id(seed: int, scope: str = "") -> str:
+    """Deterministic 16-hex trace id from a seed and an optional scope.
+
+    Pure function of its inputs (SHA-256, truncated), so two same-seed
+    runs agree on the trace id.
+    """
+    payload = f"trace:{seed}:{scope}".encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 @dataclass
@@ -119,15 +120,9 @@ class SpanTracer:
         record cap: spans beyond it are dropped (children of a dropped
         span attach to the nearest *recorded* ancestor) and counted in
         :attr:`dropped_spans`.
-    shard_id:
-        Id-namespace block this tracer allocates span ids in (see
-        :mod:`repro.obs.context`).  Defaults to 0 — the coordinator /
-        single-process namespace.  Worker processes normally leave this
-        at 0 and call :meth:`attach` instead.
     trace_id:
-        Identifier shared by every shard of one logical run; usually set
-        by :func:`~repro.obs.context.derive_trace_id` or via
-        :meth:`attach`.
+        Identifier of the run's trace; usually set by
+        :func:`derive_trace_id`.
     """
 
     def __init__(
@@ -135,11 +130,8 @@ class SpanTracer:
         enabled: bool = True,
         clock: Optional[Clock] = None,
         max_spans: int = 200_000,
-        shard_id: int = 0,
         trace_id: str = "",
     ):
-        if shard_id < 0:
-            raise ValueError("shard_id must be non-negative")
         self._enabled = enabled
         self._clock: Clock = clock if clock is not None else _zero_clock
         self._max_spans = max_spans
@@ -148,9 +140,7 @@ class SpanTracer:
         self._frames: List[List[int]] = []
         self._seq = itertools.count()
         self._dropped = 0
-        self._shard_id = shard_id
         self._trace_id = trace_id
-        self._attached: Optional[TraceContext] = None
 
     # -- wiring ----------------------------------------------------------
     @property
@@ -159,67 +149,13 @@ class SpanTracer:
         return self._enabled
 
     @property
-    def shard_id(self) -> int:
-        """Id-namespace block this tracer allocates in."""
-        return self._shard_id
-
-    @property
     def trace_id(self) -> str:
-        """Trace identifier shared across this run's shards."""
+        """Identifier of this run's trace."""
         return self._trace_id
 
     def bind_clock(self, clock: Clock) -> None:
         """Install the virtual-time source (the kernel calls this)."""
         self._clock = clock
-
-    # -- cross-process propagation ---------------------------------------
-    def context_for(self, shard_id: int) -> TraceContext:
-        """Mint the capsule a worker shard attaches to continue this trace.
-
-        The capsule carries the trace id, the worker's id-namespace
-        block, and the currently active span as the worker's causal
-        parent — so spans the worker records are descendants of whatever
-        this tracer was doing when the shard was dispatched.
-        """
-        return TraceContext(
-            trace_id=self._trace_id,
-            shard_id=shard_id,
-            parent_span_id=self.current_id,
-        )
-
-    def attach(self, context: TraceContext) -> None:
-        """Continue ``context``'s trace in this (fresh) tracer.
-
-        Must be called before any span is recorded: the tracer moves
-        into the context's shard id-namespace, adopts its trace id, and
-        seeds the active stack with the coordinator's parent span so
-        every root span recorded here parents onto its true cross-process
-        cause.  Balance with :meth:`detach` (or just export and discard
-        the tracer).
-        """
-        if self._attached is not None:
-            raise ValueError("tracer already has an attached context")
-        if self._spans or self._stack or self._frames:
-            raise ValueError(
-                "attach() requires a fresh tracer (spans already recorded "
-                "or a span is active)"
-            )
-        self._shard_id = context.shard_id
-        self._trace_id = context.trace_id
-        self._attached = context
-        if context.parent_span_id is not None:
-            self._stack = [context.parent_span_id]
-
-    def detach(self) -> TraceContext:
-        """Leave the attached context; returns it for symmetry/logging."""
-        if self._attached is None:
-            raise ValueError("no context attached")
-        if self._frames or len(self._stack) > 1:
-            raise ValueError("cannot detach while spans are still open")
-        context = self._attached
-        self._attached = None
-        self._stack = []
-        return context
 
     # -- recording -------------------------------------------------------
     def _begin(self, name: str, attributes: Dict[str, Any]) -> Span:
@@ -227,7 +163,7 @@ class SpanTracer:
             self._dropped += 1
             return NULL_SPAN
         span = Span(
-            span_id=self._shard_id * SHARD_SPAN_STRIDE + next(self._seq),
+            span_id=next(self._seq),
             parent_id=self.current_id,
             name=name,
             start=self._clock(),

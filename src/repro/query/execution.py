@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.sources.registry import SourceRegistry
 from repro.sources.source import SourceAnswer
 from repro.uncertainty.calibration import BinnedCalibrator
 from repro.uncertainty.results import UncertainMatch, UncertainResultSet
-
-if TYPE_CHECKING:
-    from repro.parallel.service import ParallelRankService
 
 LatencyFn = Callable[[str], float]
 TrustFn = Callable[[str], float]
@@ -70,11 +67,6 @@ class ExecutionContext:
         Optional :class:`~repro.obs.spans.SpanTracer`; when attached the
         executor records a causal span per execution, merge, retrieval
         leaf, retry, failover and hedge.
-    parallel:
-        Optional :class:`~repro.parallel.service.ParallelRankService`;
-        when present each retrieve leaf's ranking fans out over the shard
-        pool (results stay bitwise identical — see
-        :mod:`repro.parallel.merge`).
     """
 
     registry: SourceRegistry
@@ -86,7 +78,6 @@ class ExecutionContext:
     trust: Optional[TrustFn] = None
     resilience: Optional[ResilienceRuntime] = None
     tracer: Optional[SpanTracer] = None
-    parallel: Optional["ParallelRankService"] = None
 
     def latency_to(self, source_id: str) -> float:
         """Network latency to a source (0 without a latency model)."""
@@ -299,7 +290,6 @@ class QueryExecutor:
             now=context.now,
             consumer_id=context.consumer_id,
             prune=hint,
-            parallel=context.parallel,
         )
         answers.append(answer)
         round_trip = 2.0 * context.latency_to(source_id)

@@ -106,22 +106,6 @@ class CountingGenerator:
             return counted
         return value
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # The memoized ``counted`` closures cached in ``__dict__`` are
-        # local functions and cannot be pickled; drop them.  The proxy is
-        # fully reconstructable from the generator, owner and name — the
-        # unpickled copy re-wraps draw methods lazily on first access, and
-        # the underlying numpy generator pickles its bit state exactly, so
-        # a round-tripped stream replays the identical bitstream.
-        return {
-            "_generator": self._generator,
-            "_owner": self._owner,
-            "_name": self._name,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
     def __repr__(self) -> str:
         return f"CountingGenerator({self._name!r})"
 

@@ -75,18 +75,15 @@ class CollectionIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    # agora: shard-safe
     def bucket_items(self, domain: Optional[str] = None) -> List[InformationItem]:
         """All items of a bucket in ``(visible_at, seq)`` order."""
         return [item for __, __, item in self._buckets.get(domain, [])]
 
-    # agora: shard-safe
     def visible_count(self, now: float, domain: Optional[str] = None) -> int:
         """How many items of the bucket are visible at ``now`` (bisect)."""
         bucket = self._buckets.get(domain, [])
         return bisect_right(bucket, (now, _MAX_SEQ))  # type: ignore[arg-type]
 
-    # agora: shard-safe
     def visible_items(
         self, now: float, domain: Optional[str] = None
     ) -> List[InformationItem]:
@@ -95,12 +92,10 @@ class CollectionIndex:
         prefix = bucket[: self.visible_count(now, domain)]
         return [item for __, __, item in sorted(prefix, key=lambda e: e[1])]
 
-    # agora: shard-safe
     def domain_size(self, domain: Optional[str] = None) -> int:
         """Total number of indexed items in the bucket (visible or not)."""
         return len(self._buckets.get(domain, []))
 
-    # agora: shard-safe
     @property
     def size(self) -> int:
         """Total number of indexed items."""
@@ -109,7 +104,6 @@ class CollectionIndex:
     # ------------------------------------------------------------------
     # Cache-coherence protocol
     # ------------------------------------------------------------------
-    # agora: shard-safe
     def dirty_from(self, domain: Optional[str] = None) -> Optional[int]:
         """Smallest bucket position modified since the last checkpoint.
 
@@ -125,7 +119,6 @@ class CollectionIndex:
     # ------------------------------------------------------------------
     # Derived per-bucket statistics
     # ------------------------------------------------------------------
-    # agora: shard-safe
     def cached_stat(self, name: str, domain: Optional[str] = None) -> Optional[object]:
         """A stored per-bucket statistic, or ``None`` when (in)validated.
 

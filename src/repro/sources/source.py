@@ -27,7 +27,6 @@ from repro.uncertainty.pruning import BoundStats
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
-    from repro.parallel.service import ParallelRankService
 
 TRUST_CLASSES = ("well-known", "ordinary", "dubious")
 
@@ -255,7 +254,6 @@ class InformationSource:
         now: float,
         consumer_id: str = "",
         prune: Optional[PruneHint] = None,
-        parallel: Optional["ParallelRankService"] = None,
     ) -> SourceAnswer:
         """Evaluate ``subquery`` against the visible collection.
 
@@ -270,18 +268,6 @@ class InformationSource:
         sources — ranking happens *before* corruption, so a corrupted
         score could cross the floor in either direction and the floor
         filter must then stay on the consumer's side.
-
-        When a :class:`~repro.parallel.service.ParallelRankService` is
-        supplied, ranking fans out to the shard pool; the service's merge
-        discipline guarantees the result is bitwise what the in-process
-        path computes, and any unavailability (pool stopped, worker
-        crash) silently falls back to local scoring.  The domain-skip
-        shortcut stays on this side either way — it never scores, so
-        there is nothing to fan out.  Simulated ``service_time`` is
-        charged identically with or without sharding: the virtual-time
-        cost model prices the logical scan, not the host's parallelism
-        (see :class:`repro.parallel.model.ScanCostModel` for the shard
-        latency story).
         """
         ok, reason = self.accepts(consumer_id, now)
         if not ok:
@@ -316,48 +302,16 @@ class InformationSource:
                 prune_stats = self.engine.observe_domain_skip(n_candidates)
                 ranked = []
             else:
-                sharded = (
-                    parallel.rank_block_topk(
-                        self.source_id,
-                        subquery.domain,
-                        block,
-                        evidence,
-                        k_returned,
-                        limit=n_candidates,
-                        score_floor=floor,
-                        now=now,
-                    )
-                    if parallel is not None
-                    else None
+                ranked, prune_stats = self.engine.rank_block_topk(
+                    evidence,
+                    block,
+                    k_returned,
+                    limit=n_candidates,
+                    score_floor=floor,
                 )
-                if sharded is not None:
-                    ranked, prune_stats = sharded
-                else:
-                    ranked, prune_stats = self.engine.rank_block_topk(
-                        evidence,
-                        block,
-                        k_returned,
-                        limit=n_candidates,
-                        score_floor=floor,
-                    )
             scored = prune_stats.candidates_scored
         else:
-            sharded_rank = (
-                parallel.rank_block(
-                    self.source_id,
-                    subquery.domain,
-                    block,
-                    evidence,
-                    limit=n_candidates,
-                    now=now,
-                )
-                if parallel is not None
-                else None
-            )
-            if sharded_rank is not None:
-                ranked = sharded_rank
-            else:
-                ranked = self.engine.rank_block(evidence, block, limit=n_candidates)
+            ranked = self.engine.rank_block(evidence, block, limit=n_candidates)
             ranked = ranked[:k_returned]
             if floor > 0.0:
                 ranked = [(item, s) for item, s in ranked if s >= floor]

@@ -111,8 +111,6 @@ class LruCache:
         if self._metrics is not None:
             self._metrics.counter(f"matching.cache.{self.name}.{event}").inc()
 
-    # agora: worker-local cache instance and its bound metrics registry are
-    # per-worker; entries are deterministic per item id, so workers converge
     def get_or_compute(self, key: object, compute: Callable[[], object]) -> object:
         """Cached value for ``key``, computing and inserting on miss."""
         try:
@@ -455,8 +453,6 @@ class CandidateBlock:
         if self._parts_block is not None and new_compounds:
             self._append_parts(self._parts_block, new_compounds)
 
-    # agora: worker-local bound state is derived deterministically from
-    # per-worker caches; each worker's lazily built copy is identical
     def bounds(self) -> BlockBounds:
         """Chunked score upper bounds over the pool (built lazily).
 
@@ -471,8 +467,6 @@ class CandidateBlock:
         return self._bounds
 
     # -- lazily stacked matrices ----------------------------------------
-    # agora: worker-local dense view over per-worker feature caches,
-    # rebuilt identically by every worker on first use
     def _media_rows(self) -> np.ndarray:
         if self._media_matrix is None:
             media = self.engine.media
@@ -486,8 +480,6 @@ class CandidateBlock:
                 self._media_matrix = np.zeros((0, 0))
         return self._media_matrix
 
-    # agora: worker-local dense view over the per-worker lift cache,
-    # rebuilt identically by every worker on first use
     def _lift_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._lift_matrix is None or self._lift_norms is None:
             lifter = self.engine.cross.lifter
@@ -496,8 +488,6 @@ class CandidateBlock:
             )
         return self._lift_matrix, self._lift_norms
 
-    # agora: worker-local text layout and per-query score rows derived from
-    # the per-worker TF cache, rebuilt identically by every worker
     def _text_scores_for(self, query: TextDocument) -> np.ndarray:
         """Text-partition scores of ``query``, one column pass per query.
 
@@ -515,8 +505,6 @@ class CandidateBlock:
                 self._text_scores.popitem(last=False)
         return cached
 
-    # agora: worker-local nested block over the compound partition's leaf
-    # parts, rebuilt identically by every worker on first use
     def _compound_parts(self) -> "CandidateBlock":
         if self._parts_block is None:
             self._parts_block = CandidateBlock(self.engine, [])
@@ -537,59 +525,7 @@ class CandidateBlock:
             self._parts_offsets.append(base + len(leaves))
         parts_block.extend(leaves)
 
-    # -- dense-view sharing (repro.parallel) -----------------------------
-    def dense_stack(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Force-build and return the stacked dense matrices.
-
-        Returns ``(media_matrix, lift_matrix, lift_norms)`` aligned with
-        :meth:`media_positions` / :meth:`noncompound_positions`.  The
-        parallel layer copies these into shared memory so worker
-        processes can score without re-deriving per-item state.
-        """
-        media = self._media_rows()
-        lift_matrix, lift_norms = self._lift_rows()
-        return media, lift_matrix, lift_norms
-
-    def media_positions(self) -> List[int]:
-        """Pool positions of the media partition (ascending)."""
-        return list(self._media_positions)
-
-    def noncompound_positions(self) -> List[int]:
-        """Pool positions of the non-compound partition (ascending)."""
-        return list(self._noncompound_positions)
-
-    def install_dense(
-        self,
-        media_matrix: Optional[np.ndarray],
-        lift_matrix: Optional[np.ndarray],
-        lift_norms: Optional[np.ndarray],
-    ) -> None:
-        """Install precomputed dense matrices (e.g. shared-memory views).
-
-        Rows must be bitwise what :meth:`dense_stack` would build for this
-        block — guaranteed when they are row slices of a parent block over
-        a pool this block's items form a contiguous run of, because every
-        per-item derived vector is a pure function of the item.  A later
-        :meth:`extend` drops the installed views and the block falls back
-        to rebuilding locally, which re-derives the identical floats.
-        """
-        if media_matrix is not None:
-            if media_matrix.shape[0] != len(self._media_positions):
-                raise ValueError("media matrix row count mismatch")
-            self._media_matrix = media_matrix
-        if lift_matrix is not None or lift_norms is not None:
-            if lift_matrix is None or lift_norms is None:
-                raise ValueError("lift matrix and norms must be installed together")
-            if (
-                lift_matrix.shape[0] != len(self._noncompound_positions)
-                or lift_norms.shape[0] != len(self._noncompound_positions)
-            ):
-                raise ValueError("lift matrix row count mismatch")
-            self._lift_matrix = lift_matrix
-            self._lift_norms = lift_norms
-
     # -- scoring ---------------------------------------------------------
-    # agora: shard-safe
     def score(
         self, query: InformationItem, limit: Optional[int] = None
     ) -> np.ndarray:
@@ -601,7 +537,6 @@ class CandidateBlock:
         n = len(self.items) if limit is None else min(limit, len(self.items))
         return self.score_range(query, 0, n)
 
-    # agora: shard-safe
     def score_range(
         self, query: InformationItem, start: int, stop: int
     ) -> np.ndarray:
@@ -762,7 +697,6 @@ class MatchingEngine:
             "concept_lifts": self.cross.lifter._lifts,
         }
 
-    # agora: shard-safe
     def score(self, query: InformationItem, candidate: InformationItem) -> float:
         """Return a similarity score in [0, 1] for any item pair."""
         if isinstance(query, CompoundObject) or isinstance(candidate, CompoundObject):
@@ -773,12 +707,10 @@ class MatchingEngine:
             return self.media.score(query, candidate)
         return self.cross.score(query, candidate)
 
-    # agora: shard-safe
     def prepare(self, candidates: Sequence[InformationItem]) -> CandidateBlock:
         """Build reusable batch-scoring state over ``candidates``."""
         return CandidateBlock(self, candidates)
 
-    # agora: shard-safe
     def score_many(
         self, query: InformationItem, candidates: Sequence[InformationItem]
     ) -> np.ndarray:
@@ -788,14 +720,12 @@ class MatchingEngine:
         """
         return self.prepare(candidates).score(query)
 
-    # agora: shard-safe
     def rank(
         self, query: InformationItem, candidates: Sequence[InformationItem]
     ) -> List[Tuple[InformationItem, float]]:
         """Candidates with scores, best first (ties broken by item id)."""
         return self.rank_block(query, self.prepare(candidates))
 
-    # agora: shard-safe
     def rank_block(
         self,
         query: InformationItem,
@@ -811,7 +741,6 @@ class MatchingEngine:
         ]
         return sorted(scored, key=lambda pair: (-pair[1], pair[0].item_id))
 
-    # agora: shard-safe
     def rank_topk(
         self,
         query: InformationItem,
@@ -829,7 +758,6 @@ class MatchingEngine:
         )
         return ranked
 
-    # agora: shard-safe
     def rank_block_topk(
         self,
         query: InformationItem,
@@ -894,7 +822,6 @@ class MatchingEngine:
         self._observe_prune(stats)
         return top, stats
 
-    # agora: shard-safe
     def rank_pairwise(
         self, query: InformationItem, candidates: Sequence[InformationItem]
     ) -> List[Tuple[InformationItem, float]]:
@@ -906,7 +833,6 @@ class MatchingEngine:
         scored = [(item, self.score(query, item)) for item in candidates]
         return sorted(scored, key=lambda pair: (-pair[1], pair[0].item_id))
 
-    # agora: worker-local per-worker metrics registry, merged after the run
     def observe_domain_skip(self, n_candidates: int) -> PruneStats:
         """Record a whole-domain ceiling skip (no chunk even inspected).
 
@@ -927,7 +853,6 @@ class MatchingEngine:
             self._metrics.counter("matching.prune.domain_skips").inc()
         return stats
 
-    # agora: worker-local per-worker metrics registry, merged after the run
     def _observe_rank(self, batch_size: int) -> None:
         if self._metrics is not None:
             self._metrics.counter("matching.rank_calls").inc()
@@ -935,7 +860,6 @@ class MatchingEngine:
                 float(batch_size)
             )
 
-    # agora: worker-local per-worker metrics registry, merged after the run
     def _observe_prune(self, stats: PruneStats) -> None:
         """Mirror one pruned rank call's pruning ratios into metrics."""
         if self._metrics is None:

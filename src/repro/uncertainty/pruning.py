@@ -68,7 +68,6 @@ PAD_ABSOLUTE = 1e-12
 UNBOUNDED = float("inf")
 
 
-# agora: shard-safe
 def pad(bound: float) -> float:
     """Widen a real-arithmetic upper bound to absorb float rounding."""
     if bound == UNBOUNDED:
@@ -195,7 +194,6 @@ class BoundStats:
                 self.text_lift_max_ratio = max_ratio
 
     # ------------------------------------------------------------------
-    # agora: shard-safe
     def ceiling(self, state: Optional[QueryBoundState]) -> float:
         """Padded upper bound on any candidate's score for this query."""
         if state is None or self.unbounded:
@@ -256,7 +254,6 @@ class BoundStats:
         return min(1.0, dot_cap / state.lift_norm)
 
     # ------------------------------------------------------------------
-    # agora: shard-safe
     def as_dict(self) -> Dict[str, object]:
         """Comparable snapshot (used by the invalidation fuzz suite)."""
         return {
@@ -307,7 +304,6 @@ class BlockBounds:
             self._count += 1
 
     # ------------------------------------------------------------------
-    # agora: shard-safe
     def query_state(self, query: InformationItem) -> Optional[QueryBoundState]:
         """Query-side bound state; ``None`` if the query is unprunable."""
         engine = self.engine
@@ -337,7 +333,6 @@ class BlockBounds:
             return state
         return None  # compound / base queries fall back to full scoring
 
-    # agora: shard-safe
     def chunk_ranges(self, limit: int) -> List[Tuple[int, int, BoundStats]]:
         """``(start, stop, stats)`` triples covering positions [0, limit).
 

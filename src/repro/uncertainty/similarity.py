@@ -22,7 +22,6 @@ from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 
-# agora: shard-safe
 def dot_kernel(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two 1-D vectors, bitwise-stable under batching.
 
@@ -32,7 +31,6 @@ def dot_kernel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("j,j->", a, b))
 
 
-# agora: shard-safe
 def batch_dot_kernel(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Row-wise dot products of ``matrix`` against ``vector``.
 
@@ -43,7 +41,6 @@ def batch_dot_kernel(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", matrix, vector)
 
 
-# agora: shard-safe
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of two vectors mapped to [0, 1] (0.5 = orthogonal)."""
     a = np.asarray(a, dtype=float)
@@ -57,7 +54,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float((1.0 + dot_kernel(a, b) / (na * nb)) / 2.0)
 
 
-# agora: shard-safe
 def nonnegative_cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine for non-negative vectors (already in [0, 1])."""
     a = np.asarray(a, dtype=float)
@@ -71,7 +67,6 @@ def nonnegative_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(dot_kernel(a, b) / (na * nb), 0.0, 1.0))
 
 
-# agora: shard-safe
 def batch_nonnegative_cosine(
     matrix: np.ndarray,
     row_norms: np.ndarray,
@@ -96,7 +91,6 @@ def batch_nonnegative_cosine(
     return np.where(row_norms == 0, 0.0, cosines)
 
 
-# agora: shard-safe
 def jaccard_similarity(a: Iterable[str], b: Iterable[str]) -> float:
     """Jaccard index of two term sets."""
     set_a, set_b = set(a), set(b)
@@ -106,7 +100,6 @@ def jaccard_similarity(a: Iterable[str], b: Iterable[str]) -> float:
     return len(set_a & set_b) / len(union)
 
 
-# agora: shard-safe
 def weighted_jaccard(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     """Weighted Jaccard (Ruzicka) similarity of two weighted bags.
 
@@ -124,7 +117,6 @@ def weighted_jaccard(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return minimum / maximum
 
 
-# agora: shard-safe
 def sublinear_tf(terms: Mapping[str, int]) -> Dict[str, float]:
     """Sublinear (1 + log) term-frequency weighting."""
     return {
@@ -134,7 +126,6 @@ def sublinear_tf(terms: Mapping[str, int]) -> Dict[str, float]:
     }
 
 
-# agora: shard-safe
 def bag_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     """Cosine similarity of two sparse weighted bags, in [0, 1].
 
@@ -142,8 +133,8 @@ def bag_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     one addition at a time, starting from 0.0.  Set iteration order
     follows per-process string-hash randomization and float addition is
     not associative, so an unsorted reduction can differ in the last ulp
-    between the coordinator and a spawned shard worker; a canonical order
-    makes the score a pure function of the bags in every process.  The
+    between two processes; a canonical order makes the score a pure
+    function of the bags in every process.  The
     loop is explicit because ``sum()`` of floats is compensated
     (Neumaier) from Python 3.12 on, which would no longer be the
     sequential reduction :class:`TermColumns` performs.
@@ -160,7 +151,6 @@ def bag_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return float(np.clip(dot / (norm_a * norm_b), 0.0, 1.0))
 
 
-# agora: shard-safe
 def bag_norm(bag: Mapping[str, float]) -> float:
     """Euclidean norm of a sparse weighted bag (cacheable per item)."""
     return float(np.sqrt(sum(v * v for v in bag.values())))
@@ -193,8 +183,6 @@ class TermIds:
     def __init__(self) -> None:
         self._ids: Dict[str, int] = {}
 
-    # agora: worker-local the interning table grows per worker; ids never
-    # reach a score, so each worker's own numbering gives the same floats
     def compact(self, bag: Mapping[str, float]) -> CompactBag:
         """``bag`` as a :class:`CompactBag` (terms sorted by string)."""
         terms = sorted(bag)
@@ -212,7 +200,6 @@ class TermIds:
         )
 
 
-# agora: shard-safe
 def compact_cosine(a: CompactBag, b: CompactBag) -> float:
     """:func:`bag_cosine` of two compact bags from one :class:`TermIds`.
 
@@ -271,7 +258,6 @@ class TermColumns:
         self.rows = rows[order]
         self.weights = weights[order]
 
-    # agora: shard-safe
     def cosine(self, query: CompactBag) -> np.ndarray:
         """``bag_cosine(query, row)`` for every row, bitwise."""
         n = self.norms.size

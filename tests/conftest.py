@@ -47,23 +47,6 @@ def _reset_ids():
     yield
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _no_leaked_shm_segments():
-    """The suite must not leave agora shared-memory segments behind.
-
-    Every ``ShardPool`` unlinks its segments on ``stop()`` (and via the
-    arena's atexit hook on crash paths); a name surviving the whole
-    session is a leak.  Pre-existing segments from a concurrent run are
-    tolerated by diffing against the set seen at session start.
-    """
-    from repro.parallel.shm import leaked_segments
-
-    before = set(leaked_segments())
-    yield
-    leaked = sorted(set(leaked_segments()) - before)
-    assert leaked == [], f"leaked /dev/shm segments: {leaked}"
-
-
 @pytest.fixture
 def streams():
     return RngStreams(seed=1234).spawn("test")

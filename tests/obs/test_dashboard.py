@@ -106,7 +106,7 @@ class TestDivergenceSection:
 
         registry, tracer, manifest = make_state()
         report = DivergenceReport(
-            shard_id=0, kind="event", left_events=9, right_events=9, index=4,
+            kind="event", left_events=9, right_events=9, index=4,
         )
         text = render_dashboard(
             registry, spans=tracer.spans(), manifest=manifest,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs.divergence import (
     align_runs,
-    discover_recordings,
+    discover_recording,
     find_divergence,
     load_recording,
     render_alignment,
@@ -94,33 +94,19 @@ class TestLoadRecording:
 class TestDiscoverRecordings:
     def test_recording_directory_itself(self, tmp_path):
         _write(tmp_path, _events(3))
-        assert set(discover_recordings(tmp_path)) == {0}
+        assert discover_recording(tmp_path).events == 3
 
-    def test_run_directory_with_shards(self, tmp_path):
-        coordinator = tmp_path / "flight"
-        coordinator.mkdir()
-        _write(coordinator, _events(3))
-        for shard in (1, 2):
-            shard_dir = tmp_path / f"shard-{shard}" / "flight"
-            shard_dir.mkdir(parents=True)
-            recorder = FlightRecorder(shard_id=shard)
-            recorder.record(0, 0.0, "tick", "demo:proc", None)
-            recorder.finalize(shard_dir)
-        assert set(discover_recordings(tmp_path)) == {0, 1, 2}
-
-    def test_duplicate_shard_ids_raise(self, tmp_path):
-        coordinator = tmp_path / "flight"
-        coordinator.mkdir()
-        _write(coordinator, _events(1))
-        clash = tmp_path / "shard-1" / "flight"
-        clash.mkdir(parents=True)
-        _write(clash, _events(1))  # shard_id defaults to 0 -> clash
-        with pytest.raises(ValueError, match="duplicate shard id"):
-            discover_recordings(tmp_path)
+    def test_run_directory_with_flight_inside(self, tmp_path):
+        flight = tmp_path / "flight"
+        flight.mkdir()
+        _write(flight, _events(3))
+        recording = discover_recording(tmp_path)
+        assert recording.path == str(flight)
+        assert recording.events == 3
 
     def test_no_recordings_raise(self, tmp_path):
-        with pytest.raises(ValueError, match="no flight recordings"):
-            discover_recordings(tmp_path)
+        with pytest.raises(ValueError, match="no flight recording"):
+            discover_recording(tmp_path)
 
 
 class TestFindDivergence:
@@ -255,51 +241,37 @@ class TestFindDivergence:
 
 
 class TestAlignRuns:
-    def _run_dir(self, tmp_path, name, shard_scripts):
-        run = tmp_path / name
-        for shard_id, script in shard_scripts.items():
-            target = (
-                run / "flight" if shard_id == 0
-                else run / f"shard-{shard_id}" / "flight"
-            )
-            target.mkdir(parents=True)
-            recorder = FlightRecorder(shard_id=shard_id)
-            for event in script:
-                recorder.record(*event)
-            recorder.finalize(target)
-        return run
+    def _run_dir(self, tmp_path, name, script):
+        target = tmp_path / name / "flight"
+        target.mkdir(parents=True)
+        recorder = FlightRecorder()
+        for event in script:
+            recorder.record(*event)
+        recorder.finalize(target)
+        return tmp_path / name
 
     def test_identical_runs(self, tmp_path):
-        a = self._run_dir(tmp_path, "a", {0: _events(5), 1: _events(5)})
-        b = self._run_dir(tmp_path, "b", {0: _events(5), 1: _events(5)})
+        a = self._run_dir(tmp_path, "a", _events(5))
+        b = self._run_dir(tmp_path, "b", _events(5))
         alignment = align_runs(a, b)
         assert alignment.identical
         assert alignment.first_divergence() is None
         assert "bitwise-identical" in render_alignment(alignment)
 
-    def test_divergent_shard_located(self, tmp_path):
+    def test_divergent_run_located(self, tmp_path):
         mutate = (2, lambda e: (e[0], e[1], "MUTANT", e[3], e[4]))
-        a = self._run_dir(tmp_path, "a", {0: _events(5), 1: _events(5)})
-        b = self._run_dir(
-            tmp_path, "b", {0: _events(5), 1: _events(5, mutate=mutate)}
-        )
+        a = self._run_dir(tmp_path, "a", _events(5))
+        b = self._run_dir(tmp_path, "b", _events(5, mutate=mutate))
         alignment = align_runs(a, b)
         assert not alignment.identical
         first = alignment.first_divergence()
-        assert first.shard_id == 1
         assert first.kind == "event"
-
-    def test_missing_shard_reported(self, tmp_path):
-        a = self._run_dir(tmp_path, "a", {0: _events(3), 1: _events(3)})
-        b = self._run_dir(tmp_path, "b", {0: _events(3)})
-        alignment = align_runs(a, b)
-        kinds = {report.shard_id: report.kind for report in alignment.reports}
-        assert kinds == {0: "identical", 1: "missing-right"}
-        assert "missing on the right" in render_alignment(alignment)
+        assert first.index == 2
+        assert "DIVERGED at log entry 2" in render_alignment(alignment)
 
     def test_to_dict_round_trips_through_json(self, tmp_path):
-        a = self._run_dir(tmp_path, "a", {0: _events(3)})
-        b = self._run_dir(tmp_path, "b", {0: _events(3)})
+        a = self._run_dir(tmp_path, "a", _events(3))
+        b = self._run_dir(tmp_path, "b", _events(3))
         payload = json.loads(json.dumps(align_runs(a, b).to_dict()))
         assert payload["identical"] is True
-        assert payload["reports"][0]["kind"] == "identical"
+        assert payload["report"]["kind"] == "identical"

@@ -1,5 +1,7 @@
 """Tests for the JSONL exporters and the ``python -m repro.obs`` CLI."""
 
+import pytest
+
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
@@ -171,55 +173,17 @@ class TestCliExitCodes:
         assert main(["flame", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ["[]", '"x"'])
+    @pytest.mark.parametrize("command", ["summary", "diff", "spans", "slo"])
+    def test_non_object_json_exits_two(self, tmp_path, capsys, command, payload):
+        bad = tmp_path / "artifact.json"
+        bad.write_text(payload + "\n")
+        paths = [str(bad), str(bad)] if command == "diff" else [str(bad)]
+        assert main([command, *paths]) == 2
+        assert "error:" in capsys.readouterr().err
 
-class TestCliShardAndProfileCommands:
-    def make_merged_manifest(self, tmp_path):
-        from repro.obs import (
-            MetricsRegistry as Registry,
-            TraceContext,
-            merge_snapshots,
-            merged_manifest,
-            snapshot_shard,
-        )
-        from repro.obs.export import write_manifest
 
-        snapshots = []
-        for shard_id in (0, 1):
-            registry = Registry()
-            registry.counter("ops").inc(5 + shard_id)
-            tracer = SpanTracer()
-            tracer.attach(TraceContext(trace_id="t", shard_id=shard_id))
-            with tracer.span("shard"):
-                pass
-            snapshots.append(
-                snapshot_shard(shard_id, registry, tracer=tracer,
-                               sim_time=10.0 + shard_id, event_count=4)
-            )
-        manifest = merged_manifest(
-            snapshots, seed=11, config_digest="cfg",
-            merged=merge_snapshots(snapshots),
-        )
-        path = tmp_path / "manifest.json"
-        write_manifest(manifest, path)
-        return path
-
-    def test_summary_by_shard_lists_sections(self, tmp_path, capsys):
-        path = self.make_merged_manifest(tmp_path)
-        assert main(["summary", str(path), "--by-shard"]) == 0
-        out = capsys.readouterr().out
-        assert "shards (2):" in out
-        assert "shard 0:" in out
-        assert "shard 1: sim_time=11" in out
-
-    def test_summary_by_shard_on_single_process_manifest(self, tmp_path, capsys):
-        registry, tracer = make_registry(), make_tracer()
-        written = export_run(
-            tmp_path / "run", make_manifest(registry, tracer),
-            registry=registry, tracer=tracer,
-        )
-        assert main(["summary", written["manifest"], "--by-shard"]) == 0
-        assert "single-process run" in capsys.readouterr().out
-
+class TestCliProfileCommands:
     def test_flame_renders_ranked_table(self, tmp_path, capsys):
         folded = tmp_path / "profile.folded"
         folded.write_text("root 100\nroot;child 900\n")

@@ -74,8 +74,6 @@ class TestFlightRecorder:
             FlightRecorder(checkpoint_interval=0)
         with pytest.raises(ValueError):
             FlightRecorder(chunk_lines=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(shard_id=-1)
 
     def test_record_appends_canonical_entries(self):
         recorder = FlightRecorder()
@@ -185,11 +183,7 @@ class TestFlightRecorder:
             FlightRecorder().finalize()
 
     def test_manifest_section(self):
-        recorder = FlightRecorder(shard_id=2)
+        recorder = FlightRecorder()
         _record_n(recorder, 3)
         section = recorder.manifest_section()
-        assert section == {
-            "digest": recorder.digest,
-            "events": 3,
-            "shard_id": 2,
-        }
+        assert section == {"digest": recorder.digest, "events": 3}

@@ -118,73 +118,9 @@ class TestDiff:
         assert [d.key for d in report.drifts] == ["seed"]
 
 
-def shard_section(sim_time=9.0, event_count=40, span_count=10, dropped=0):
-    return {
-        "sim_time": sim_time,
-        "event_count": event_count,
-        "span_count": span_count,
-        "dropped_spans": dropped,
-    }
-
-
-class TestShardDiff:
-    """Per-shard sections must drift distinctly: added / removed / drifted."""
-
-    def make_sharded(self, **shards):
-        return make_manifest(shards=dict(shards))
-
-    def test_identical_shards_are_clean(self):
-        left = self.make_sharded(**{"0": shard_section(), "1": shard_section()})
-        right = self.make_sharded(**{"0": shard_section(), "1": shard_section()})
-        assert diff_manifests(left, right).clean
-
-    def test_shard_added_reports_right_only_entries(self):
-        left = self.make_sharded(**{"0": shard_section()})
-        right = self.make_sharded(**{"0": shard_section(), "1": shard_section()})
-        report = diff_manifests(left, right)
-        drift = {d.key: (d.left, d.right) for d in report.drifts}
-        assert all(key.startswith("shards.1.") for key in drift)
-        assert drift["shards.1.sim_time"] == (None, 9.0)
-        assert drift["shards.1.event_count"] == (None, 40)
-
-    def test_shard_removed_reports_left_only_entries(self):
-        left = self.make_sharded(**{"0": shard_section(), "2": shard_section()})
-        right = self.make_sharded(**{"0": shard_section()})
-        report = diff_manifests(left, right)
-        drift = {d.key: (d.left, d.right) for d in report.drifts}
-        assert all(key.startswith("shards.2.") for key in drift)
-        assert drift["shards.2.span_count"] == (10, None)
-
-    def test_shard_drifted_reports_only_the_changed_field(self):
-        left = self.make_sharded(**{"0": shard_section(event_count=40)})
-        right = self.make_sharded(**{"0": shard_section(event_count=41)})
-        report = diff_manifests(left, right)
-        assert [d.key for d in report.drifts] == ["shards.0.event_count"]
-        assert report.drifts[0].left == 40
-        assert report.drifts[0].right == 41
-        assert "shards.0.event_count" in report.render()
-
-    def test_added_removed_and_drifted_are_distinct_entries(self):
-        left = self.make_sharded(**{"0": shard_section(sim_time=5.0),
-                                    "1": shard_section()})
-        right = self.make_sharded(**{"0": shard_section(sim_time=6.0),
-                                     "2": shard_section()})
-        report = diff_manifests(left, right)
-        keys = {d.key for d in report.drifts}
-        assert "shards.0.sim_time" in keys  # drifted
-        assert "shards.1.sim_time" in keys  # removed
-        assert "shards.2.sim_time" in keys  # added
-
-    def test_shards_participate_in_digest(self):
-        plain = make_manifest()
-        sharded = self.make_sharded(**{"0": shard_section()})
-        assert plain.digest() != sharded.digest()
-        assert RunManifest.from_json(sharded.to_json()) == sharded
-
-
 class TestFlightSection:
     def flight_section(self, digest="f" * 64, events=10):
-        return {"digest": digest, "events": events, "shard_id": 0}
+        return {"digest": digest, "events": events}
 
     def test_flight_participates_in_digest(self):
         plain = make_manifest()

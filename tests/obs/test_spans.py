@@ -9,6 +9,7 @@ from repro.obs import (
     SpanTracer,
     ancestors,
     child_map,
+    derive_trace_id,
     descendants_of,
     span_index,
 )
@@ -153,3 +154,15 @@ class TestTreeHelpers:
         orphan = Span(span_id=9, parent_id=777, name="orphan", start=0.0)
         children = child_map([orphan])
         assert children[None] == [orphan]
+
+
+class TestDeriveTraceId:
+    def test_deterministic_in_seed_and_scope(self):
+        assert derive_trace_id(11) == derive_trace_id(11)
+        assert derive_trace_id(11) != derive_trace_id(12)
+        assert derive_trace_id(11, scope="a") != derive_trace_id(11, scope="b")
+
+    def test_short_hex(self):
+        trace_id = derive_trace_id(7)
+        assert len(trace_id) == 16
+        int(trace_id, 16)  # valid hex
