@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from repro.data import (
+    CompoundObject,
     CorpusGenerator,
     DomainSpec,
     FeatureExtractor,
     InformationItem,
     TopicSpace,
     Vocabulary,
+    iris_domains,
 )
 from repro.optimizer import (
     CandidateAssignment,
@@ -419,3 +421,23 @@ def test_micro_event_kernel_flight(benchmark):
     events, recorded = benchmark(run)
     assert events == 5000
     assert recorded == 5000
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_corpus_generate(benchmark):
+    """Set-up cost: a fresh generator's 400 items of the auction domain.
+
+    Auction is the compound-heavy Iris domain (half its items are
+    catalogs of 2–4 parts), so this exercises every item kind.
+    """
+    space = TopicSpace(10)
+    vocabulary = Vocabulary(space, RngStreams(SEED).spawn("corpus-v"))
+    auction = next(spec for spec in iris_domains() if spec.name == "auction")
+
+    def run():
+        corpus = CorpusGenerator(space, vocabulary, RngStreams(SEED).spawn("corpus"))
+        return corpus.generate(auction, 400)
+
+    items = benchmark(run)
+    assert len(items) == 400
+    assert any(isinstance(item, CompoundObject) for item in items)

@@ -9,8 +9,7 @@ by vocabulary noise.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Tuple, cast
 
 import numpy as np
 
@@ -48,6 +47,9 @@ class Vocabulary:
         self.topic_space = topic_space
         self.vocabulary_size = vocabulary_size
         self.terms: List[str] = [f"w{i:05d}" for i in range(vocabulary_size)]
+        self._term_index: Dict[str, int] = {
+            term: index for index, term in enumerate(self.terms)
+        }
         self._topic_term_probs = self._build_topic_distributions(
             streams, zipf_exponent, terms_per_topic
         )
@@ -85,36 +87,43 @@ class Vocabulary:
         mixture = latent @ self._topic_term_probs
         mixture /= mixture.sum()
         counts = rng.multinomial(length, mixture)
-        bag: Counter = Counter()
-        for index in np.nonzero(counts)[0]:
-            bag[self.terms[index]] = int(counts[index])
-        return dict(bag)
+        present = counts.nonzero()[0]
+        terms = self.terms
+        return {
+            terms[index]: count
+            for index, count in zip(present.tolist(), counts[present].tolist())
+        }
 
     def term_vector(self, terms: Dict[str, int]) -> np.ndarray:
         """Dense term-frequency vector for a bag of terms."""
         vector = np.zeros(self.vocabulary_size)
-        for term, count in terms.items():
-            try:
-                index = int(term[1:])
-            except (ValueError, IndexError):
-                continue
-            if 0 <= index < self.vocabulary_size:
-                vector[index] = count
+        indices, counts = self._term_indices(terms)
+        vector[indices] = counts
         return vector
 
-    def _term_indices(self, terms: Dict[str, int]) -> "tuple[List[int], List[int]]":
-        """In-vocabulary term indices and their counts, in bag order."""
-        indices: List[int] = []
-        counts: List[int] = []
-        for term, count in terms.items():
-            try:
-                index = int(term[1:])
-            except (ValueError, IndexError):
-                continue
-            if 0 <= index < self.vocabulary_size:
-                indices.append(index)
-                counts.append(count)
-        return indices, counts
+    def _term_indices(self, terms: Dict[str, int]) -> Tuple[List[int], List[int]]:
+        """In-vocabulary term indices and their counts, in bag order.
+
+        A vocabulary term is looked up; any other string is read as
+        ``int(term[1:])`` and kept when that index is in range (so ``w5``
+        means ``w00005``).
+        """
+        indices = list(map(self._term_index.get, terms))
+        if None not in indices:
+            return cast(List[int], indices), list(terms.values())
+        kept_indices: List[int] = []
+        kept_counts: List[int] = []
+        for index, (term, count) in zip(indices, terms.items()):
+            if index is None:
+                try:
+                    index = int(term[1:])
+                except (ValueError, IndexError):
+                    continue
+                if not 0 <= index < self.vocabulary_size:
+                    continue
+            kept_indices.append(index)
+            kept_counts.append(count)
+        return kept_indices, kept_counts
 
     def topic_posterior(self, terms: Dict[str, int]) -> np.ndarray:
         """Rough posterior over topics given a bag of terms.

@@ -17,6 +17,7 @@ exactly as :func:`bag_cosine` does.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -117,13 +118,18 @@ def weighted_jaccard(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return minimum / maximum
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def _tf_weight(count: int) -> float:
+    """``1 + log(count)``, memoised: bags repeat a few small counts.
+
+    ``typed`` keeps ``3`` and ``np.float32(3)`` apart, whose logs differ.
+    """
+    return 1.0 + float(np.log(count))
+
+
 def sublinear_tf(terms: Mapping[str, int]) -> Dict[str, float]:
     """Sublinear (1 + log) term-frequency weighting."""
-    return {
-        term: 1.0 + float(np.log(count)) if count > 0 else 0.0
-        for term, count in terms.items()
-        if count > 0
-    }
+    return {term: _tf_weight(count) for term, count in terms.items() if count > 0}
 
 
 def bag_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:

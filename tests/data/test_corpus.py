@@ -20,6 +20,47 @@ class TestDomainSpec:
                 type_mix={"text": 0.5, "media": 0.2, "compound": 0.2},
             )
 
+    @pytest.mark.parametrize("type_mix", [
+        {"text": 1.5, "media": -0.5, "compound": 0.0},
+        {"text": float("nan"), "media": 0.5, "compound": 0.5},
+    ])
+    def test_type_mix_weight_must_be_finite_and_nonnegative(self, type_mix):
+        with pytest.raises(ValueError, match="type_mix"):
+            DomainSpec(name="bad", topic_prior={"folk-jewelry": 1.0}, type_mix=type_mix)
+
+    def test_empty_topic_prior_rejected(self):
+        with pytest.raises(ValueError, match="empty topic_prior"):
+            DomainSpec(name="bad", topic_prior={})
+
+    def test_zero_topic_prior_rejected(self):
+        with pytest.raises(ValueError, match="sum to 0"):
+            DomainSpec(name="bad", topic_prior={"folk-jewelry": 0.0, "tourism": 0.0})
+
+    def test_negative_topic_prior_weight_rejected(self):
+        with pytest.raises(ValueError, match="topic_prior"):
+            DomainSpec(name="bad", topic_prior={"folk-jewelry": 1.0, "tourism": -0.5})
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_topic_prior_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="topic_prior"):
+            DomainSpec(name="bad", topic_prior={"folk-jewelry": weight})
+
+    @pytest.mark.parametrize("concentration", [0.0, -1.0, float("nan"), float("inf")])
+    def test_concentration_must_be_positive_and_finite(self, concentration):
+        with pytest.raises(ValueError, match="concentration"):
+            DomainSpec(
+                name="bad", topic_prior={"folk-jewelry": 1.0},
+                concentration=concentration,
+            )
+
+    def test_negative_update_rate_rejected(self):
+        with pytest.raises(ValueError, match="update_rate"):
+            DomainSpec(name="bad", topic_prior={"folk-jewelry": 1.0}, update_rate=-0.1)
+
+    def test_zero_update_rate_allowed(self):
+        spec = DomainSpec(name="still", topic_prior={"folk-jewelry": 1.0}, update_rate=0.0)
+        assert spec.update_rate == 0.0
+
     def test_iris_domains_complete(self):
         names = {spec.name for spec in iris_domains()}
         assert names == {"museum", "auction", "magazine", "thesis", "cultural-org"}
@@ -61,6 +102,24 @@ class TestGeneration:
         spec = DomainSpec(name="x", topic_prior={"no-such-topic": 1.0})
         with pytest.raises(KeyError):
             corpus_generator.generate(spec, 1)
+        with pytest.raises(KeyError):  # a failed derivation is not cached
+            corpus_generator.generate(spec, 1)
+
+    def test_prior_follows_the_spec_contents(self, corpus_generator, topic_space):
+        # Per-spec derivations are keyed by contents, so editing the
+        # spec's mapping in place takes effect for the next items.
+        prior = {"folk-jewelry": 1.0}
+        spec = DomainSpec(
+            name="x", topic_prior=prior, concentration=5.0,
+            type_mix={"text": 0.0, "media": 1.0, "compound": 0.0},
+        )
+        first = corpus_generator.generate(spec, 30)
+        del prior["folk-jewelry"]
+        prior["tourism"] = 1.0
+        second = corpus_generator.generate(spec, 30)
+        for items, topic in ((first, "folk-jewelry"), (second, "tourism")):
+            mean_latent = np.mean([item.latent for item in items], axis=0)
+            assert np.argmax(mean_latent) == topic_space.names.index(topic)
 
     def test_generate_collection(self, corpus_generator):
         collection = corpus_generator.generate_collection(iris_domains()[:2], 5)

@@ -82,3 +82,18 @@ class TestPosterior:
             if int(np.argmax(posterior)) == 3:
                 hits += 1
         assert hits >= 8
+
+
+class TestTermIndices:
+    def test_vocabulary_terms_in_bag_order(self, vocab):
+        assert vocab._term_indices({"w00007": 1, "w00003": 2}) == ([7, 3], [1, 2])
+
+    def test_other_spellings_keep_their_parse(self, vocab):
+        # Strings outside the vocabulary are read as int(term[1:]).
+        bag = {"w5": 2, "x00012": 4, "nonsense": 1, "w99999": 3, "": 1}
+        assert vocab._term_indices(bag) == ([5, 12], [2, 4])
+
+    def test_sampled_bag_is_in_vocabulary_order(self, vocab, space):
+        bag = vocab.sample_terms(space.basis(space.names[0]), np.random.default_rng(3))
+        assert list(bag) == sorted(bag)
+        assert all(type(count) is int and count > 0 for count in bag.values())

@@ -90,6 +90,14 @@ class TestBagCosine:
         assert weights["b"] == pytest.approx(1.0 + np.log(10))
         assert "zero" not in weights
 
+    def test_sublinear_tf_is_bitwise_one_plus_log(self):
+        # Weights are memoised per distinct count; each must still be the
+        # float a fresh 1 + log(count) gives, whatever type the count has.
+        counts = [1, 2, 3, 7, 240, np.int64(3), 3.0, np.float32(3.0), 2.5]
+        for count in counts * 2:
+            weight = sublinear_tf({"t": count})["t"]
+            assert weight == 1.0 + float(np.log(count))
+
 
 class TestEnsemble:
     def test_weighted_average(self):
