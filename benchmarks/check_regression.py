@@ -5,9 +5,13 @@ Usage::
     python benchmarks/check_regression.py BENCH_micro.json \
         benchmarks/baselines/BENCH_micro.json
 
-Fails (exit 1) if any benchmark's mean time exceeds the baseline mean by
-more than ``BENCH_REGRESSION_FACTOR`` (default 2.0).  Benchmarks present
-on only one side are reported but never fail the check, so adding or
+Each benchmark's current/baseline mean ratio is divided by the ratio of
+the reference kernel (``test_micro_reference_kernel``, seeded work that
+runs no repo code), so a uniformly slower or faster host cancels out and
+the gate compares code, not machines.  Fails (exit 1) if any normalised
+ratio exceeds ``BENCH_REGRESSION_FACTOR`` (default 2.0); exits 2 if the
+reference is missing from either export.  Other benchmarks present on
+only one side are reported but never fail the check, so adding or
 retiring a benchmark doesn't require regenerating the baseline in the
 same commit.  pytest-benchmark's own ``--benchmark-compare`` keys storage
 by machine id, which breaks across CI runners — this comparator only
@@ -20,6 +24,9 @@ import json
 import os
 import sys
 from typing import Dict
+
+#: benchmark whose ratio measures the host, not the code
+REFERENCE = "test_micro_reference_kernel"
 
 
 def load_means(path: str) -> Dict[str, float]:
@@ -39,18 +46,24 @@ def main(argv: list) -> int:
     current = load_means(argv[1])
     baseline = load_means(argv[2])
     factor = float(os.environ.get("BENCH_REGRESSION_FACTOR", "2.0"))
+    for side, means in (("current", current), ("baseline", baseline)):
+        if not means.get(REFERENCE, 0.0) > 0:
+            print(f"reference benchmark {REFERENCE} missing from the {side} export")
+            return 2
+    host = current[REFERENCE] / baseline[REFERENCE]
+    print(f"host speed: reference kernel at {host:.2f}x its baseline time")
     failures = []
-    for name in sorted(current):
+    for name in sorted(set(current) - {REFERENCE}):
         mean = current[name]
         base = baseline.get(name)
         if base is None:
             print(f"NEW      {name}: {mean * 1e3:.3f} ms (no baseline)")
             continue
-        ratio = mean / base if base > 0 else float("inf")
+        ratio = mean / base / host if base > 0 else float("inf")
         status = "FAIL" if ratio > factor else "ok"
         print(
             f"{status:<8} {name}: {mean * 1e3:.3f} ms "
-            f"vs baseline {base * 1e3:.3f} ms ({ratio:.2f}x)"
+            f"vs baseline {base * 1e3:.3f} ms ({ratio:.2f}x normalised)"
         )
         if ratio > factor:
             failures.append(name)

@@ -31,6 +31,10 @@ from repro.data.vocabulary import Vocabulary
 from repro.sim.rng import ScopedStreams
 
 
+#: the item kinds a domain's ``type_mix`` may draw
+ITEM_KINDS = ("text", "media", "compound")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Static description of a content domain.
@@ -42,7 +46,8 @@ class DomainSpec:
     topic_prior:
         Mixture the domain's items concentrate around (keyed by topic name).
     type_mix:
-        Probabilities of generating text / media / compound items.
+        Probabilities of generating text / media / compound items; keys
+        outside :data:`ITEM_KINDS` are rejected.
     concentration:
         Dirichlet concentration of per-item draws around the prior;
         smaller = more specialised items.
@@ -59,6 +64,11 @@ class DomainSpec:
     update_rate: float = 0.1
 
     def __post_init__(self) -> None:
+        unknown = sorted(set(self.type_mix) - set(ITEM_KINDS))
+        if unknown:
+            raise ValueError(
+                f"type_mix keys must be among {ITEM_KINDS}, got {unknown}"
+            )
         _check_weights("type_mix", self.type_mix)
         total = sum(self.type_mix.values())
         if abs(total - 1.0) > 1e-9:

@@ -130,7 +130,7 @@ class FeatureExtractor:
         repeated extraction — a cache rebuilt after eviction, the media
         matcher and the concept lifter extracting the same item in either
         order — always reproduces the same vector.  Downstream caches
-        (and the pruning bound builder) depend on this.
+        depend on this.
         """
         spec = self.spec(feature_set)
         projection = self._projection(feature_set)

@@ -18,9 +18,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOReport
 from repro.obs.spans import Span
 
-#: Counter prefix under which the matching engine reports pruning.
-PRUNE_PREFIX = "matching.prune."
-
 
 def _format(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
@@ -46,50 +43,6 @@ def span_cost_rows(spans: Sequence[Span]) -> List[Tuple[str, int, float, float]]
         total = sum(durations)
         rows.append((name, len(durations), total, total / len(durations)))
     return rows
-
-
-def _pruning_lines(registry: MetricsRegistry) -> List[str]:
-    """The "Pruning" section: PR 5's top-k skip telemetry, if present."""
-    counters = registry.counters()
-    if not any(name.startswith(PRUNE_PREFIX) for name in counters):
-        return []
-    scored = counters.get("matching.prune.candidates_scored", 0.0)
-    total = counters.get("matching.prune.candidates_total", 0.0)
-    skipped = counters.get("matching.prune.chunks_skipped", 0.0)
-    chunks = counters.get("matching.prune.chunks_total", 0.0)
-    rows = [
-        ["pruned rank calls", _format(counters.get("matching.prune.calls", 0.0))],
-        [
-            "exhaustive fallbacks",
-            _format(counters.get("matching.prune.fallback_calls", 0.0)),
-        ],
-        ["domain skips", _format(counters.get("matching.prune.domain_skips", 0.0))],
-        [
-            "candidates scored / total",
-            f"{_format(scored)} / {_format(total)}"
-            + (f" ({scored / total:.1%})" if total > 0 else ""),
-        ],
-        [
-            "chunks skipped / total",
-            f"{_format(skipped)} / {_format(chunks)}"
-            + (f" ({skipped / chunks:.1%})" if chunks > 0 else ""),
-        ],
-    ]
-    lines = ["### Pruning", ""]
-    lines.extend(_table(["pruning", "value"], rows))
-    histogram = registry.histograms().get("matching.prune.scored_fraction")
-    if histogram is not None:
-        summary = histogram.summary()
-        lines.extend(
-            [
-                "",
-                "scored fraction per pruned call: "
-                f"mean {summary['mean']:.3f}, p50 {summary['p50']:.3f}, "
-                f"p90 {summary['p90']:.3f} (n={_format(summary['count'])})",
-            ]
-        )
-    lines.append("")
-    return lines
 
 
 def render_dashboard(
@@ -137,7 +90,6 @@ def render_dashboard(
         lines.extend(["### Divergence", "", "```"])
         lines.append(render_report(divergence))
         lines.extend(["```", ""])
-    lines.extend(_pruning_lines(registry))
     counters = registry.counters()
     if counters:
         lines.extend(["### Counters", ""])

@@ -186,7 +186,7 @@ class QueryExecutor:
 
         Only then is pushing ``Threshold``/``TopK`` cutoffs down to the
         sources provably lossless: the plan filters on *probability*, the
-        source prunes on *score*, and the two agree iff the mapping is
+        source filters on *score*, and the two agree iff the mapping is
         the identity.  A fitted calibrator may be non-monotone, so no
         cutoff is pushed past it.
         """
@@ -263,11 +263,7 @@ class QueryExecutor:
             if answer.declined:
                 span.annotate(declined=True)
                 return UncertainResultSet(), 0.0
-            span.annotate(
-                elapsed=cost,
-                candidates=answer.candidates_scanned,
-                scored=answer.candidates_scored,
-            )
+            span.annotate(elapsed=cost, candidates=answer.candidates_scanned)
             return self._result_set(answer, node.source_id), cost
 
     # -- plain building blocks ------------------------------------------

@@ -44,12 +44,6 @@ class CollectionIndex:
         # Smallest position touched per bucket since its last checkpoint;
         # absent key = untouched.
         self._dirty_from: Dict[Optional[str], int] = {}
-        # Derived per-bucket statistics (score ceilings, bound aggregates).
-        # Any mutation of a bucket drops its stats wholesale: aggregates
-        # like per-term maxima only grow under appends, so even an append
-        # can invalidate a cached ceiling and the safe rule is "one write,
-        # zero stats".
-        self._stats: Dict[Optional[str], Dict[str, object]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -70,7 +64,6 @@ class CollectionIndex:
         previous = self._dirty_from.get(key)
         if previous is None or position < previous:
             self._dirty_from[key] = position
-        self._stats.pop(key, None)
 
     # ------------------------------------------------------------------
     # Queries
@@ -115,22 +108,3 @@ class CollectionIndex:
     def checkpoint(self, domain: Optional[str] = None) -> None:
         """Mark the caller's cache as synchronised with the bucket."""
         self._dirty_from.pop(domain, None)
-
-    # ------------------------------------------------------------------
-    # Derived per-bucket statistics
-    # ------------------------------------------------------------------
-    def cached_stat(self, name: str, domain: Optional[str] = None) -> Optional[object]:
-        """A stored per-bucket statistic, or ``None`` when (in)validated.
-
-        Stats share the bucket's write-invalidation: *any* ``add`` that
-        touches the bucket clears every stat stored for it, so a non-None
-        return is guaranteed to describe the bucket's current contents.
-        """
-        bucket_stats = self._stats.get(domain)
-        if bucket_stats is None:
-            return None
-        return bucket_stats.get(name)
-
-    def store_stat(self, name: str, value: object, domain: Optional[str] = None) -> None:
-        """Store a statistic derived from the bucket's current contents."""
-        self._stats.setdefault(domain, {})[name] = value

@@ -23,7 +23,6 @@ from repro.sources.index import CollectionIndex
 from repro.trust.blacklist import Blacklist
 from repro.uncertainty.estimates import UncertainEstimate
 from repro.uncertainty.matching import CandidateBlock, MatchingEngine
-from repro.uncertainty.pruning import BoundStats
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -80,9 +79,6 @@ class SourceAnswer:
     declined: bool = False
     decline_reason: str = ""
     candidates_scanned: int = 0
-    #: how many candidates were actually scored (== scanned unless the
-    #: pruning path skipped provably hopeless chunks)
-    candidates_scored: int = 0
 
     @property
     def size(self) -> int:
@@ -109,10 +105,6 @@ class InformationSource:
         uncertainty in its own right.
     streams:
         RNG scope (coverage drops, corruption, lag draws).
-    pruning:
-        Use the exactness-preserving bound-pruned rank path.  Answers are
-        bitwise identical either way (the property suite proves it); off
-        exists for the differential oracle and for A/B benchmarks.
     """
 
     #: base service time charged per answered subquery
@@ -131,7 +123,6 @@ class InformationSource:
         load: Optional[LoadModel] = None,
         health: Optional[NodeHealth] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        pruning: bool = True,
     ):
         if not domains:
             raise ValueError("source must serve at least one domain")
@@ -143,7 +134,6 @@ class InformationSource:
         self.load = load
         self.health = health
         self.metrics = metrics
-        self.pruning = pruning
         self.blacklist = Blacklist(source_id)
         self._rng = streams.stream(f"source.{source_id}")
         self._index = CollectionIndex()
@@ -233,21 +223,6 @@ class InformationSource:
     # ------------------------------------------------------------------
     # Answering
     # ------------------------------------------------------------------
-    def _domain_bounds(self, domain: Optional[str], block: CandidateBlock) -> BoundStats:
-        """The bucket-wide score-ceiling stats, via the index stat cache.
-
-        The index drops the cached stats on *any* write to the bucket, so
-        a cache hit is guaranteed to describe the block's full contents
-        (the bucket superset of every visible prefix — a superset ceiling
-        is a valid, if looser, bound for the prefix).
-        """
-        cached = self._index.cached_stat("bound_aggregate", domain)
-        if isinstance(cached, BoundStats):
-            return cached
-        aggregate = block.bounds().aggregate
-        self._index.store_stat("bound_aggregate", aggregate, domain)
-        return aggregate
-
     def answer(
         self,
         subquery: Subquery,
@@ -261,10 +236,10 @@ class InformationSource:
         Match scores are the source's local engine scores, except that a
         fraction ``error_rate`` of them are corrupted to uniform noise.
 
-        A :class:`~repro.query.model.PruneHint` tightens the work the
-        source does without changing what it returns: the surviving
-        (item, score) pairs are exactly ``rank[:k]`` filtered by the
-        floor.  The hint is honoured only for exact (``error_rate == 0``)
+        A :class:`~repro.query.model.PruneHint` is a post-filter on the
+        ranked list: the source keeps ``rank[:k_cap]`` and drops scores
+        under the floor, which the enclosing plan nodes would drop
+        anyway.  The hint is honoured only for exact (``error_rate == 0``)
         sources — ranking happens *before* corruption, so a corrupted
         score could cross the floor in either direction and the floor
         filter must then stay on the consumer's side.
@@ -278,57 +253,28 @@ class InformationSource:
                 decline_reason=reason,
             )
         n_candidates = self._index.visible_count(now, domain=subquery.domain)
-        evidence = subquery.evidence_item()
-        block = self._block_for(subquery.domain)
         k_returned = subquery.k
         floor = 0.0
         if prune is not None and self.quality.error_rate == 0.0:
             if prune.k_cap is not None:
                 k_returned = min(k_returned, prune.k_cap)
             floor = prune.score_floor
-        ranked: List[Tuple[InformationItem, float]]
-        scored = n_candidates
-        if self.pruning:
-            bounds = block.bounds()
-            state = bounds.query_state(evidence)
-            if (
-                floor > 0.0
-                and n_candidates > 0
-                and state is not None
-                and self._domain_bounds(subquery.domain, block).ceiling(state) < floor
-            ):
-                # The whole bucket's ceiling is under the floor: nothing
-                # visible can survive the plan, skip scoring entirely.
-                prune_stats = self.engine.observe_domain_skip(n_candidates)
-                ranked = []
-            else:
-                ranked, prune_stats = self.engine.rank_block_topk(
-                    evidence,
-                    block,
-                    k_returned,
-                    limit=n_candidates,
-                    score_floor=floor,
-                )
-            scored = prune_stats.candidates_scored
-        else:
-            ranked = self.engine.rank_block(evidence, block, limit=n_candidates)
-            ranked = ranked[:k_returned]
-            if floor > 0.0:
-                ranked = [(item, s) for item, s in ranked if s >= floor]
+        ranked = self.engine.rank_block_topk(
+            subquery.evidence_item(),
+            self._block_for(subquery.domain),
+            k_returned,
+            limit=n_candidates,
+            score_floor=floor,
+        )
         matches: List[Tuple[InformationItem, float]] = []
         if self.quality.error_rate > 0.0:
-            # Guarded so exact sources draw nothing here: the pruned and
-            # exhaustive paths then consume identical RNG streams, which
-            # the live-ingest parity suite depends on.
+            # Guarded so exact sources draw nothing from their stream here.
             for item, score in ranked:
                 if self._rng.random() < self.quality.error_rate:
                     score = float(self._rng.random())
                 matches.append((item, score))
         else:
             matches.extend(ranked)
-        # Service time models the scan over *visible* candidates, not the
-        # scorings pruning saved — simulated timing stays identical with
-        # pruning on or off.
         service_time = self.STARTUP_TIME + self.PER_CANDIDATE_TIME * n_candidates
         if self.load is not None:
             service_time *= self.load.service_slowdown(self.node_id)
@@ -338,7 +284,6 @@ class InformationSource:
             matches=matches,
             service_time=service_time,
             candidates_scanned=n_candidates,
-            candidates_scored=scored,
         )
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ machinery in :mod:`repro.multimodal.feeds` subscribes here).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List
 
 from repro.data.corpus import CorpusGenerator, DomainSpec
@@ -33,7 +34,10 @@ class UpdateStream:
         Corpus generator and the domain spec whose ``update_rate`` sets
         the arrival intensity (items per virtual time unit).
     rate_multiplier:
-        Scales the domain's base rate (for burst experiments).
+        Scales the domain's base rate (for burst experiments).  Must be
+        finite and > 0, and the scaled rate must stay finite: an infinite
+        rate would schedule every update at zero delay and never let the
+        simulator advance.
     """
 
     def __init__(
@@ -45,13 +49,20 @@ class UpdateStream:
         streams: ScopedStreams,
         rate_multiplier: float = 1.0,
     ):
-        if rate_multiplier <= 0:
-            raise ValueError("rate_multiplier must be positive")
+        if not (math.isfinite(rate_multiplier) and rate_multiplier > 0):
+            raise ValueError(
+                f"rate_multiplier must be finite and > 0, got {rate_multiplier}"
+            )
+        rate = spec.update_rate * rate_multiplier
+        if not math.isfinite(rate):
+            raise ValueError(
+                f"update rate {spec.update_rate} x {rate_multiplier} overflows"
+            )
         self.sim = simulator
         self.source = source
         self.generator = generator
         self.spec = spec
-        self.rate = spec.update_rate * rate_multiplier
+        self.rate = rate
         self._rng = streams.stream(f"updates.{source.source_id}.{spec.name}")
         self._subscribers: List[Subscriber] = []
         self._running = False

@@ -10,13 +10,11 @@ Public API:
 - Matching: :class:`MatchingEngine`, :class:`TextMatcher`,
   :class:`MediaMatcher`, :class:`CrossTypeMatcher`,
   :class:`CompoundMatcher`, :class:`ConceptLifter`,
-  :func:`build_matching_engine`.
+  :func:`build_matching_engine`; a source's top-k is one whole-block
+  score and one sort (:meth:`MatchingEngine.rank_block_topk`).
 - Calibration: :class:`BinnedCalibrator`,
   :func:`expected_calibration_error`, :func:`ranking_auc`,
   :func:`pool_adjacent_violators`.
-- Pruning: :class:`BlockBounds`, :class:`BoundStats`,
-  :class:`QueryBoundState`, :class:`PruneStats` — exactness-preserving
-  score upper bounds behind the pruned top-k rank path.
 - Results: :class:`UncertainMatch`, :class:`UncertainResultSet`,
   :func:`merge_all`.
 - Risk: :class:`RiskProfile`, :func:`risk_averse`, :func:`risk_neutral`,
@@ -42,12 +40,6 @@ from repro.uncertainty.matching import (
     MediaMatcher,
     TextMatcher,
     build_matching_engine,
-)
-from repro.uncertainty.pruning import (
-    BlockBounds,
-    BoundStats,
-    PruneStats,
-    QueryBoundState,
 )
 from repro.uncertainty.results import UncertainMatch, UncertainResultSet, merge_all
 from repro.uncertainty.risk import (
@@ -81,8 +73,6 @@ from repro.uncertainty.similarity import (
 
 __all__ = [
     "BinnedCalibrator",
-    "BlockBounds",
-    "BoundStats",
     "CalibrationReport",
     "CandidateBlock",
     "CompactBag",
@@ -93,8 +83,6 @@ __all__ = [
     "EnsembleSimilarity",
     "MatchingEngine",
     "MediaMatcher",
-    "PruneStats",
-    "QueryBoundState",
     "RiskProfile",
     "SalientPart",
     "TermColumns",

@@ -29,7 +29,6 @@ return identical lists.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections import OrderedDict
 from typing import (
@@ -52,7 +51,6 @@ from repro.data.items import (
     TextDocument,
 )
 from repro.data.vocabulary import Vocabulary
-from repro.uncertainty.pruning import BlockBounds, PruneStats
 from repro.uncertainty.similarity import (
     CompactBag,
     TermColumns,
@@ -71,15 +69,6 @@ if TYPE_CHECKING:
 #: default bound for per-item derived-state caches (vectors are tiny, so
 #: this is a few MB at most; long simulations stop leaking memory)
 DEFAULT_CACHE_SIZE = 8192
-
-#: whole-partition text score rows a block keeps, keyed by query item id
-#: (a compound query's text parts each need one while its chunks are visited)
-TEXT_SCORE_SLOTS = 4
-
-#: histogram buckets for the fraction of candidates a pruned rank scored
-PRUNE_FRACTION_BUCKETS = (
-    0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
-)
 
 
 class LruCache:
@@ -373,11 +362,10 @@ class CandidateBlock:
     by visibility time, so "the items visible at ``now``" is always a
     prefix) and extend them incrementally as items are ingested.
 
-    Text queries are scored against the whole text partition at once
-    (:class:`~repro.uncertainty.similarity.TermColumns`); the result is
-    kept for the last few query items, so the pruned rank path's chunk
-    visits slice one array instead of re-scoring.  Compound candidates'
-    leaf parts live in one nested parts block with per-compound offsets.
+    Text queries are scored against the whole text partition in one
+    column pass (:class:`~repro.uncertainty.similarity.TermColumns`).
+    Compound candidates' leaf parts live in one nested parts block with
+    per-compound offsets.
 
     Scores are bitwise-identical to the pairwise path; candidate order
     only affects the order of the returned array, never a value.
@@ -398,16 +386,12 @@ class CandidateBlock:
         self._media_matrix: Optional[np.ndarray] = None
         self._lift_matrix: Optional[np.ndarray] = None
         self._lift_norms: Optional[np.ndarray] = None
-        # Lazily built text layout and whole-partition text scores keyed
-        # by query item id (dropped on extend).
+        # Lazily built text layout (dropped on extend).
         self._text_columns: Optional[TermColumns] = None
-        self._text_scores: "OrderedDict[str, np.ndarray]" = OrderedDict()
         # Lazily built leaf parts of the compound partition: compound j's
         # parts sit at parts-block positions [offsets[j], offsets[j + 1]).
         self._parts_block: Optional[CandidateBlock] = None
         self._parts_offsets: List[int] = [0]
-        # Lazily built chunked score upper bounds (synced in bounds()).
-        self._bounds: Optional[BlockBounds] = None
         self.extend(items)
 
     def __len__(self) -> int:
@@ -449,22 +433,8 @@ class CandidateBlock:
         self._lift_matrix = None
         self._lift_norms = None
         self._text_columns = None
-        self._text_scores.clear()
         if self._parts_block is not None and new_compounds:
             self._append_parts(self._parts_block, new_compounds)
-
-    def bounds(self) -> BlockBounds:
-        """Chunked score upper bounds over the pool (built lazily).
-
-        The bounds object is extended in place to cover candidates
-        appended since the last call, so repeated ranks over a growing
-        block never re-derive per-item state.
-        """
-        if self._bounds is None:
-            self._bounds = BlockBounds(self.engine)
-        if len(self._bounds) < len(self.items):
-            self._bounds.extend(self.items[len(self._bounds):])
-        return self._bounds
 
     # -- lazily stacked matrices ----------------------------------------
     def _media_rows(self) -> np.ndarray:
@@ -489,21 +459,10 @@ class CandidateBlock:
         return self._lift_matrix, self._lift_norms
 
     def _text_scores_for(self, query: TextDocument) -> np.ndarray:
-        """Text-partition scores of ``query``, one column pass per query.
-
-        Keyed by the query's item id, like the TF cache itself; the last
-        :data:`TEXT_SCORE_SLOTS` queries are kept, so a compound query's
-        text parts do not evict each other between chunk visits.
-        """
-        cached = self._text_scores.get(query.item_id)
-        if cached is None:
-            if self._text_columns is None:
-                self._text_columns = TermColumns(self._text_bags)
-            cached = self._text_columns.cosine(self.engine.text._bag(query))
-            self._text_scores[query.item_id] = cached
-            if len(self._text_scores) > TEXT_SCORE_SLOTS:
-                self._text_scores.popitem(last=False)
-        return cached
+        """Text-partition scores of ``query``, one column pass."""
+        if self._text_columns is None:
+            self._text_columns = TermColumns(self._text_bags)
+        return self._text_columns.cosine(self.engine.text._bag(query))
 
     def _compound_parts(self) -> "CandidateBlock":
         if self._parts_block is None:
@@ -546,8 +505,7 @@ class CandidateBlock:
         ``engine.score(query, self.items[start + i])``.  Every kernel
         computes each candidate's score with one fixed reduction that does
         not depend on the batch, so slicing the pool never changes a
-        float.  This is what lets the pruning rank path score surviving
-        chunks in isolation and still match the exhaustive path exactly.
+        float.
         """
         start = max(0, start)
         stop = min(stop, len(self.items))
@@ -741,23 +699,6 @@ class MatchingEngine:
         ]
         return sorted(scored, key=lambda pair: (-pair[1], pair[0].item_id))
 
-    def rank_topk(
-        self,
-        query: InformationItem,
-        candidates: Sequence[InformationItem],
-        k: int,
-        score_floor: float = 0.0,
-    ) -> List[Tuple[InformationItem, float]]:
-        """Top-``k`` of :meth:`rank` without scoring hopeless candidates.
-
-        Returns exactly ``rank(query, candidates)[:k]`` (ids, order and
-        floats), minus entries under ``score_floor`` when one is given.
-        """
-        ranked, __ = self.rank_block_topk(
-            query, self.prepare(candidates), k, score_floor=score_floor
-        )
-        return ranked
-
     def rank_block_topk(
         self,
         query: InformationItem,
@@ -765,62 +706,26 @@ class MatchingEngine:
         k: int,
         limit: Optional[int] = None,
         score_floor: float = 0.0,
-    ) -> Tuple[List[Tuple[InformationItem, float]], PruneStats]:
-        """Exactness-preserving pruned top-k over a prepared block.
+    ) -> List[Tuple[InformationItem, float]]:
+        """The best ``k`` of :meth:`rank_block`, minus sub-floor entries.
 
-        Candidate chunks whose padded score ceiling falls strictly below
-        the running cutoff — the k-th best score seen so far, or the
-        pushed-down ``score_floor`` — are skipped outright; survivors are
-        scored by the same einsum kernels as :meth:`rank_block`.  The
-        result is bitwise identical to
-        ``rank_block(query, block, limit)[:k]`` with sub-floor entries
-        removed (the plan's ``Threshold`` would drop them anyway).
-
-        Chunks are visited in descending-ceiling order so the cutoff
-        tightens as early as possible; visit order cannot affect any
-        returned float because survivors' scores are exact.
+        One whole-prefix score and one sort: the result is
+        ``rank_block(query, block, limit)[:k]`` with entries under
+        ``score_floor`` removed (the plan's ``Threshold`` would drop them
+        anyway).  Every call counts its candidates under
+        ``matching.prune.*``, where scored always equals total.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
         n = len(block) if limit is None else min(limit, len(block))
-        self._observe_rank(max(n, 0))
-        stats = PruneStats(candidates_total=max(n, 0))
-        if n <= 0 or k == 0:
-            self._observe_prune(stats)
-            return [], stats
-        bounds = block.bounds()
-        state = bounds.query_state(query)
-        stats.prunable = state is not None
-        ranges = bounds.chunk_ranges(n)
-        stats.chunks_total = len(ranges)
-        ceilings = [chunk.ceiling(state) for __, __, chunk in ranges]
-        order = sorted(range(len(ranges)), key=lambda c: (-ceilings[c], c))
-        heap: List[float] = []  # min-heap of the k best scores so far
-        scored: List[Tuple[int, float]] = []
-        for index in order:
-            ceiling = ceilings[index]
-            if (score_floor > 0.0 and ceiling < score_floor) or (
-                len(heap) == k and ceiling < heap[0]
-            ):
-                stats.chunks_skipped += 1
-                continue
-            start, stop, __ = ranges[index]
-            row = block.score_range(query, start, stop)
-            for offset, value in enumerate(row):
-                score = float(value)
-                scored.append((start + offset, score))
-                if len(heap) < k:
-                    heapq.heappush(heap, score)
-                elif score > heap[0]:
-                    heapq.heapreplace(heap, score)
-        stats.candidates_scored = len(scored)
-        pairs = [(block.items[p], s) for p, s in scored]
-        pairs.sort(key=lambda pair: (-pair[1], pair[0].item_id))
-        top = pairs[:k]
+        top = self.rank_block(query, block, limit=n)[:k]
         if score_floor > 0.0:
             top = [(item, s) for item, s in top if s >= score_floor]
-        self._observe_prune(stats)
-        return top, stats
+        if self._metrics is not None:
+            self._metrics.counter("matching.prune.calls").inc()
+            self._metrics.counter("matching.prune.candidates_total").inc(float(n))
+            self._metrics.counter("matching.prune.candidates_scored").inc(float(n))
+        return top
 
     def rank_pairwise(
         self, query: InformationItem, candidates: Sequence[InformationItem]
@@ -833,55 +738,12 @@ class MatchingEngine:
         scored = [(item, self.score(query, item)) for item in candidates]
         return sorted(scored, key=lambda pair: (-pair[1], pair[0].item_id))
 
-    def observe_domain_skip(self, n_candidates: int) -> PruneStats:
-        """Record a whole-domain ceiling skip (no chunk even inspected).
-
-        Sources call this when their cached per-domain
-        :class:`~repro.uncertainty.pruning.BoundStats` ceiling already
-        proves no visible candidate can reach the pushed-down floor.
-        """
-        stats = PruneStats(
-            candidates_total=n_candidates,
-            candidates_scored=0,
-            chunks_total=0,
-            chunks_skipped=0,
-            prunable=True,
-            domain_skipped=True,
-        )
-        self._observe_prune(stats)
-        if self._metrics is not None:
-            self._metrics.counter("matching.prune.domain_skips").inc()
-        return stats
-
     def _observe_rank(self, batch_size: int) -> None:
         if self._metrics is not None:
             self._metrics.counter("matching.rank_calls").inc()
             self._metrics.histogram("matching.rank_batch_size").observe(
                 float(batch_size)
             )
-
-    def _observe_prune(self, stats: PruneStats) -> None:
-        """Mirror one pruned rank call's pruning ratios into metrics."""
-        if self._metrics is None:
-            return
-        self._metrics.counter("matching.prune.calls").inc()
-        if not stats.prunable:
-            self._metrics.counter("matching.prune.fallback_calls").inc()
-        self._metrics.counter("matching.prune.candidates_total").inc(
-            float(stats.candidates_total)
-        )
-        self._metrics.counter("matching.prune.candidates_scored").inc(
-            float(stats.candidates_scored)
-        )
-        self._metrics.counter("matching.prune.chunks_total").inc(
-            float(stats.chunks_total)
-        )
-        self._metrics.counter("matching.prune.chunks_skipped").inc(
-            float(stats.chunks_skipped)
-        )
-        self._metrics.histogram(
-            "matching.prune.scored_fraction", buckets=PRUNE_FRACTION_BUCKETS
-        ).observe(stats.scored_fraction)
 
 
 def build_matching_engine(

@@ -2,8 +2,8 @@
 
 ``benchmarks/check_regression.py`` gates CI, so its comparator math gets
 the same treatment as library code: exact ratio semantics, the
-NEW/MISSING non-failure contract, the env-var factor override, and the
-usage exit code.
+NEW/MISSING non-failure contract, the env-var factor override, the
+reference-kernel normalisation, and the usage exit codes.
 """
 
 import importlib.util
@@ -29,8 +29,19 @@ def check_regression():
     return _load_module()
 
 
-def _export(path, means):
-    """Write a minimal pytest-benchmark JSON export mapping name -> mean."""
+#: the reference kernel's mean in exports that do not set one
+REFERENCE_MEAN = 0.001
+
+
+def _export(path, means, reference=REFERENCE_MEAN):
+    """Write a minimal pytest-benchmark JSON export mapping name -> mean.
+
+    The reference kernel is added with mean ``reference``; ``None``
+    leaves it out.
+    """
+    means = dict(means)
+    if reference is not None:
+        means["test_micro_reference_kernel"] = reference
     payload = {
         "benchmarks": [
             {"name": name, "stats": {"mean": mean, "stddev": 0.0}}
@@ -43,7 +54,9 @@ def _export(path, means):
 
 class TestLoadMeans:
     def test_maps_names_to_means(self, check_regression, tmp_path):
-        path = _export(tmp_path / "a.json", {"bench_a": 0.5, "bench_b": 0.25})
+        path = _export(
+            tmp_path / "a.json", {"bench_a": 0.5, "bench_b": 0.25}, reference=None
+        )
         assert check_regression.load_means(path) == {
             "bench_a": 0.5,
             "bench_b": 0.25,
@@ -115,6 +128,51 @@ class TestComparator:
         out = capsys.readouterr().out
         assert "1 benchmark(s) regressed" in out
         assert "slow" in out
+
+
+#: every benchmark's baseline mean in the host-normalisation tests
+_BASELINE = {"kernel_a": 0.004, "kernel_b": 0.0005, "kernel_c": 0.02}
+
+
+class TestHostNormalisation:
+    def test_uniformly_slower_host_passes(self, check_regression, tmp_path):
+        slow = {name: 2.4 * mean for name, mean in _BASELINE.items()}
+        current = _export(tmp_path / "cur.json", slow, reference=2.4 * REFERENCE_MEAN)
+        baseline = _export(tmp_path / "base.json", _BASELINE)
+        assert check_regression.main(["prog", current, baseline]) == 0
+
+    @pytest.mark.parametrize("host", [0.5, 2.4])
+    def test_planted_slowdown_fails_on_any_host(
+        self, check_regression, tmp_path, capsys, host
+    ):
+        means = {name: host * mean for name, mean in _BASELINE.items()}
+        means["kernel_b"] *= 2.5
+        current = _export(
+            tmp_path / "cur.json", means, reference=host * REFERENCE_MEAN
+        )
+        baseline = _export(tmp_path / "base.json", _BASELINE)
+        assert check_regression.main(["prog", current, baseline]) == 1
+        out = capsys.readouterr().out
+        assert "1 benchmark(s) regressed" in out
+        assert "kernel_b" in out
+
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    def test_missing_reference_exits_2(
+        self, check_regression, tmp_path, capsys, side
+    ):
+        exports = {
+            name: _export(
+                tmp_path / f"{name}.json",
+                _BASELINE,
+                reference=None if name == side else REFERENCE_MEAN,
+            )
+            for name in ("current", "baseline")
+        }
+        code = check_regression.main(
+            ["prog", exports["current"], exports["baseline"]]
+        )
+        assert code == 2
+        assert f"missing from the {side} export" in capsys.readouterr().out
 
 
 class TestUsage:

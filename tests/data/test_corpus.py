@@ -61,6 +61,13 @@ class TestDomainSpec:
         spec = DomainSpec(name="still", topic_prior={"folk-jewelry": 1.0}, update_rate=0.0)
         assert spec.update_rate == 0.0
 
+    def test_unknown_type_mix_key_rejected(self):
+        with pytest.raises(ValueError, match="image"):
+            DomainSpec(
+                name="bad", topic_prior={"folk-jewelry": 1.0},
+                type_mix={"image": 1.0},
+            )
+
     def test_iris_domains_complete(self):
         names = {spec.name for spec in iris_domains()}
         assert names == {"museum", "auction", "magazine", "thesis", "cultural-org"}

@@ -66,40 +66,6 @@ class TestRenderDashboard:
         assert "## Run dashboard" in content
 
 
-class TestPruningSection:
-    def make_prune_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("matching.prune.calls").inc(10)
-        registry.counter("matching.prune.fallback_calls").inc(2)
-        registry.counter("matching.prune.domain_skips").inc(3)
-        registry.counter("matching.prune.candidates_scored").inc(40)
-        registry.counter("matching.prune.candidates_total").inc(100)
-        registry.counter("matching.prune.chunks_skipped").inc(6)
-        registry.counter("matching.prune.chunks_total").inc(10)
-        registry.histogram("matching.prune.scored_fraction").observe(0.4)
-        return registry
-
-    def test_section_rendered_when_counters_present(self):
-        text = render_dashboard(self.make_prune_registry(), title="T")
-        assert "### Pruning" in text
-        assert "| pruned rank calls | 10 |" in text
-        assert "40 / 100 (40.0%)" in text
-        assert "6 / 10 (60.0%)" in text
-        assert "scored fraction per pruned call" in text
-
-    def test_section_absent_without_prune_counters(self):
-        registry, __, __m = make_state()
-        assert "### Pruning" not in render_dashboard(registry, title="T")
-
-    def test_zero_totals_render_without_percentages(self):
-        registry = MetricsRegistry()
-        registry.counter("matching.prune.calls").inc(1)
-        text = render_dashboard(registry, title="T")
-        assert "### Pruning" in text
-        assert "| candidates scored / total | 0 / 0 |" in text
-        assert "%" not in text
-
-
 class TestDivergenceSection:
     def test_divergence_report_rendered_in_code_fence(self):
         from repro.obs import DivergenceReport

@@ -1,13 +1,10 @@
 """Fuzz tests: CollectionIndex invalidation under interleaved writes.
 
-The pruning layer hangs score ceilings off :class:`CollectionIndex` via
-two protocols: ``dirty_from``/``checkpoint`` (positional cache coherence
-for prepared candidate blocks) and the per-bucket stat cache (bound
-aggregates, cleared wholesale on any write).  Both are fuzzed here
-against naive reference models over arbitrary interleavings of appends,
-prefix inserts, checkpoints and stat stores — a cached value observed
-through either protocol must always describe the bucket's *current*
-contents.
+Sources keep one prepared candidate block per domain and keep it
+coherent with :class:`CollectionIndex` through ``dirty_from``/
+``checkpoint``.  The protocol is fuzzed here against a naive reference
+model over arbitrary interleavings of appends, prefix inserts and
+checkpoints.
 """
 
 from bisect import bisect_right, insort
@@ -17,15 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import (
-    CorpusGenerator,
-    DomainSpec,
-    FeatureExtractor,
-    InformationItem,
-    TopicSpace,
-    Vocabulary,
-)
-from repro.sim import RngStreams
+from repro.data import InformationItem
 from repro.sources import CollectionIndex
 
 pytestmark = [pytest.mark.property]
@@ -123,130 +112,3 @@ class TestDirtyFromFuzz:
         for key in _DOMAINS:
             expected = [items[seq] for __, seq in model.buckets.get(key, [])]
             assert index.bucket_items(key) == expected
-
-
-class TestStatCacheFuzz:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(
-                    st.just("add"),
-                    st.integers(min_value=0, max_value=1),
-                    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-                ),
-                st.tuples(st.just("store"), st.integers(min_value=0, max_value=2)),
-                st.tuples(st.just("probe"), st.integers(min_value=0, max_value=2)),
-                st.tuples(
-                    st.just("checkpoint"), st.integers(min_value=0, max_value=2)
-                ),
-            ),
-            min_size=0,
-            max_size=50,
-        )
-    )
-    def test_cached_stat_never_describes_stale_contents(self, ops):
-        """A non-None ``cached_stat`` always matches the current bucket.
-
-        The stored value is a fingerprint of the bucket contents at store
-        time; any write to the bucket must drop it.  ``checkpoint`` is
-        interleaved to prove the two invalidation protocols are
-        independent — checkpointing never resurrects or clears stats.
-        """
-        index = CollectionIndex()
-        counter = 0
-        for op in ops:
-            if op[0] == "add":
-                __, domain_index, visible_at = op
-                index.add(_item(counter, _DOMAINS[domain_index]), visible_at)
-                counter += 1
-            elif op[0] == "store":
-                key = _DOMAINS[op[1]]
-                fingerprint = tuple(i.item_id for i in index.bucket_items(key))
-                index.store_stat("fingerprint", fingerprint, key)
-            elif op[0] == "checkpoint":
-                index.checkpoint(_DOMAINS[op[1]])
-            else:
-                key = _DOMAINS[op[1]]
-                cached = index.cached_stat("fingerprint", key)
-                current = tuple(i.item_id for i in index.bucket_items(key))
-                assert cached is None or cached == current
-            # The invariant must also hold between explicit probes.
-            for key in _DOMAINS:
-                cached = index.cached_stat("fingerprint", key)
-                current = tuple(i.item_id for i in index.bucket_items(key))
-                assert cached is None or cached == current
-
-
-@pytest.fixture(scope="module")
-def bounds_world():
-    """A fitted engine plus a mixed item pool for bound-cache fuzzing."""
-    from repro.uncertainty import build_matching_engine
-
-    streams = RngStreams(seed=909).spawn("bounds")
-    space = TopicSpace(8)
-    vocabulary = Vocabulary(
-        space, streams.spawn("v"), vocabulary_size=300, terms_per_topic=40
-    )
-    corpus = CorpusGenerator(
-        space, vocabulary, streams.spawn("c"), feature_dimensions=16
-    )
-    extractor = FeatureExtractor(16, streams.spawn("f"))
-    spec = DomainSpec(
-        name="pool",
-        topic_prior={"folk-jewelry": 0.5, "tourism": 0.5},
-        type_mix={"text": 0.4, "media": 0.4, "compound": 0.2},
-        concentration=0.5,
-    )
-    sample = corpus.generate(
-        DomainSpec(
-            name="sample",
-            topic_prior={"folk-jewelry": 0.5, "dance-forms": 0.5},
-            type_mix={"text": 0.0, "media": 1.0, "compound": 0.0},
-        ),
-        30,
-    )
-    engine = build_matching_engine(vocabulary, extractor, lifter_sample=sample)
-    pool = corpus.generate(spec, 40)
-    return engine, pool
-
-
-class TestBoundAggregateCoherence:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        cut_points=st.lists(
-            st.integers(min_value=0, max_value=40), min_size=1, max_size=6
-        ),
-    )
-    def test_incremental_extend_equals_rebuild(self, bounds_world, cut_points):
-        """Bounds grown by ``extend`` == bounds rebuilt from scratch.
-
-        The source's block cache appends live-ingested items to existing
-        :class:`BlockBounds`; the resulting per-chunk stats and aggregate
-        must be indistinguishable from a cold rebuild over the same item
-        sequence, or cached ceilings would drift from reality.
-        """
-        engine, pool = bounds_world
-        incremental = engine.prepare([]).bounds()
-        fed = []
-        cursor = 0
-        for cut in sorted(cut_points):
-            chunk = pool[cursor:cut]
-            cursor = max(cursor, cut)
-            if not chunk:
-                continue
-            incremental.extend(chunk)
-            fed.extend(chunk)
-        rebuilt = engine.prepare(fed).bounds()
-        assert len(incremental) == len(fed)
-        assert incremental.aggregate.as_dict() == rebuilt.aggregate.as_dict()
-        assert [c.as_dict() for c in incremental.chunks] == [
-            c.as_dict() for c in rebuilt.chunks
-        ]
-        # And the ceilings derived from them agree for a real query.
-        if fed:
-            state = rebuilt.query_state(fed[0])
-            if state is not None:
-                a = [s.ceiling(state) for __, __, s in incremental.chunk_ranges(len(fed))]
-                b = [s.ceiling(state) for __, __, s in rebuilt.chunk_ranges(len(fed))]
-                assert a == b

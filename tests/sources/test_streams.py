@@ -96,3 +96,27 @@ class TestUpdateStream:
                 sim, source, corpus_generator, stream.spec,
                 streams.spawn("bad"), rate_multiplier=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "multiplier", [float("inf"), float("-inf"), float("nan")]
+    )
+    def test_non_finite_multiplier_rejected(
+        self, stream_setup, corpus_generator, streams, multiplier
+    ):
+        sim, source, stream = stream_setup
+        with pytest.raises(ValueError, match="rate_multiplier"):
+            UpdateStream(
+                sim, source, corpus_generator, stream.spec,
+                streams.spawn("bad"), rate_multiplier=multiplier,
+            )
+
+    def test_overflowing_rate_rejected(self, stream_setup, corpus_generator, streams):
+        sim, source, __ = stream_setup
+        spec = DomainSpec(
+            name="magazine", topic_prior={"fashion-trends": 1.0}, update_rate=10.0
+        )
+        with pytest.raises(ValueError, match="overflows"):
+            UpdateStream(
+                sim, source, corpus_generator, spec,
+                streams.spawn("bad"), rate_multiplier=1e308,
+            )
