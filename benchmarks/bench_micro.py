@@ -71,7 +71,7 @@ def test_micro_matching_rank(benchmark, world):
     space, corpus, engine, items = world
     query_item = items[0]
     pool = items[1:101]
-    ranked = benchmark(engine.rank, query_item, pool)
+    ranked = benchmark(lambda: engine.rank_block(query_item, engine.prepare(pool)))
     assert len(ranked) == 100
 
 
@@ -330,7 +330,7 @@ def test_micro_reputation_updates(benchmark):
         return system
 
     system = benchmark(run)
-    assert len(system.known_subjects()) == 20
+    assert len(system.ranked()) == 20
 
 
 @pytest.mark.benchmark(group="micro")

@@ -40,7 +40,7 @@ def main() -> None:
             comparison_threshold=0.3,
         )
         print(f"  saved + annotated {item.item_id} "
-              f"(standing comparison #{record.standing_id})")
+              f"(standing comparison #{record.standing.standing_id})")
 
     # ------------------------------------------------------------------
     print("\n=== 2. Automatic feeds: new auction material flows in ===")

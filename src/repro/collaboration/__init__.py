@@ -20,7 +20,6 @@ from repro.collaboration.workspace import (
     Contribution,
     ExplorationThread,
     SharedWorkspace,
-    reset_thread_ids,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "SharedWorkspace",
     "SharingReport",
     "job_key",
-    "reset_thread_ids",
 ]

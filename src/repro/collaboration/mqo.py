@@ -77,16 +77,6 @@ class SharedJobExecutor:
     def __init__(self, context: ExecutionContext):
         self.context = context
 
-    def analyse(self, plans: Mapping[str, PlanNode]) -> SharingReport:
-        """Count shareable jobs without executing anything."""
-        total = 0
-        distinct = set()
-        for plan in plans.values():
-            for leaf in plan.leaves():
-                total += 1
-                distinct.add(job_key(leaf))
-        return SharingReport(total_jobs=total, distinct_jobs=len(distinct))
-
     def execute(
         self,
         plans: Mapping[str, PlanNode],

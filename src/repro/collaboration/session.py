@@ -65,15 +65,6 @@ class CollaborationSession:
         self.threads[thread.thread_id] = thread
         return thread
 
-    def continue_thread(self, user_id: str, thread_id: int, query: Query) -> None:
-        """A member (owner or not) extends an existing thread."""
-        self._require_member(user_id)
-        thread = self.threads.get(thread_id)
-        if thread is None:
-            raise KeyError(f"unknown thread {thread_id}")
-        thread.pick_up(user_id)
-        thread.extend(query)
-
     def record_results(
         self,
         user_id: str,

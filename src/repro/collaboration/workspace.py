@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.data.items import InformationItem
 from repro.query.model import Query
-from repro.uncertainty.results import UncertainMatch, UncertainResultSet
+from repro.uncertainty.results import UncertainMatch
 
 _THREAD_COUNTER = itertools.count()
 
@@ -71,12 +71,6 @@ class SharedWorkspace:
         """Workspace items in discovery order."""
         return [self._contributions[i].match.item for i in self._order]
 
-    def matches(self) -> UncertainResultSet:
-        """The workspace contents as an uncertain result set."""
-        return UncertainResultSet(
-            self._contributions[i].match for i in self._order
-        )
-
     def contributions(self) -> List[Contribution]:
         """All contributions in discovery order."""
         return [self._contributions[i] for i in self._order]
@@ -84,15 +78,6 @@ class SharedWorkspace:
     def contributions_by(self, user_id: str) -> List[Contribution]:
         """The contributions first discovered by ``user_id``."""
         return [c for c in self.contributions() if c.user_id == user_id]
-
-    def first_finder(self, item_id: str) -> Optional[str]:
-        """Who first contributed ``item_id`` (None if absent)."""
-        contribution = self._contributions.get(item_id)
-        return contribution.user_id if contribution else None
-
-    def contributors(self) -> List[str]:
-        """Sorted ids of members who contributed anything."""
-        return sorted({c.user_id for c in self._contributions.values()})
 
     def __len__(self) -> int:
         return len(self._contributions)
@@ -128,9 +113,3 @@ class ExplorationThread:
         if user_id != self.owner_id and user_id not in self.taken_over_by:
             self.taken_over_by.append(user_id)
         return self.last_query
-
-
-def reset_thread_ids() -> None:
-    """Reset the thread counter (tests only)."""
-    global _THREAD_COUNTER
-    _THREAD_COUNTER = itertools.count()

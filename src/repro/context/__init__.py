@@ -2,8 +2,7 @@
 
 Public API:
 
-- :class:`Context`, :func:`context_similarity`,
-  :data:`CONTEXT_DIMENSIONS`, :data:`TASKS`, :data:`TIMES_OF_DAY`.
+- :class:`Context`, :data:`CONTEXT_DIMENSIONS`, :data:`TASKS`, :data:`TIMES_OF_DAY`.
 - :class:`ActivationRule`, :class:`ProfileOverlay`.
 - :class:`ConditionalProfile`.
 - :class:`ContextInferencer`, :class:`ActivityObservation`.
@@ -17,7 +16,6 @@ from repro.context.model import (
     TASKS,
     TIMES_OF_DAY,
     Context,
-    context_similarity,
 )
 from repro.context.rules import ActivationRule, ProfileOverlay
 
@@ -32,5 +30,4 @@ __all__ = [
     "ProfileOverlay",
     "TASKS",
     "TIMES_OF_DAY",
-    "context_similarity",
 ]

@@ -28,10 +28,6 @@ class ConditionalProfile:
         """Attach a (rule, overlay) pair."""
         self.overlays.append((rule, overlay))
 
-    def matching_rules(self, context: Context) -> List[ActivationRule]:
-        """Rules firing under ``context``."""
-        return [rule for rule, __ in self.overlays if rule.matches(context)]
-
     def active_profile(self, context: Context) -> UserProfile:
         """The profile in force under ``context``.
 
@@ -48,8 +44,3 @@ class ConditionalProfile:
         for __, overlay in matching:
             profile = overlay.apply(profile)
         return profile
-
-    @property
-    def is_static(self) -> bool:
-        """Whether no overlays are attached."""
-        return not self.overlays

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.context.model import Context
 
@@ -54,7 +54,6 @@ class ContextInferencer:
         self._marginals: Dict[str, Dict[str, float]] = {
             dim: defaultdict(float) for dim in self.INFERRED_DIMENSIONS
         }
-        self._observations = 0
 
     # ------------------------------------------------------------------
     def observe(self, evidence: ActivityObservation, true_context: Context) -> None:
@@ -63,12 +62,6 @@ class ContextInferencer:
             value = str(true_context.value(dimension))
             self._counts[dimension][evidence.key][value] += 1.0
             self._marginals[dimension][value] += 1.0
-        self._observations += 1
-
-    @property
-    def observations(self) -> int:
-        """Number of calibration samples recorded."""
-        return self._observations
 
     # ------------------------------------------------------------------
     def _predict_dimension(self, dimension: str, evidence: ActivityObservation) -> Optional[str]:
@@ -95,19 +88,3 @@ class ContextInferencer:
             if predicted is not None:
                 changes[dimension] = predicted
         return base.with_(**changes)
-
-    def accuracy(
-        self, samples: Sequence[Tuple[ActivityObservation, Context]]
-    ) -> float:
-        """Mean per-dimension accuracy over labelled test samples."""
-        if not samples:
-            return 0.0
-        correct = 0
-        total = 0
-        for evidence, truth in samples:
-            predicted = self.infer(evidence)
-            for dimension in self.INFERRED_DIMENSIONS:
-                total += 1
-                if predicted.value(dimension) == truth.value(dimension):
-                    correct += 1
-        return correct / total

@@ -10,7 +10,7 @@ enough structure to condition profiles on, simple enough to infer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Tuple
 
 CONTEXT_DIMENSIONS = (
     "time_of_day",
@@ -48,11 +48,6 @@ class Context:
         object.__setattr__(self, "companions", tuple(sorted(self.companions)))
 
     # ------------------------------------------------------------------
-    @property
-    def alone(self) -> bool:
-        """Whether no companions are present."""
-        return not self.companions
-
     def value(self, dimension: str) -> object:
         """The value of one context dimension."""
         if dimension not in CONTEXT_DIMENSIONS:
@@ -62,24 +57,3 @@ class Context:
     def with_(self, **changes) -> "Context":
         """A copy with the given dimensions replaced."""
         return replace(self, **changes)
-
-    def as_dict(self) -> Dict[str, object]:
-        """All dimensions as a plain dictionary."""
-        return {dim: self.value(dim) for dim in CONTEXT_DIMENSIONS}
-
-
-def context_similarity(a: Context, b: Context) -> float:
-    """Fraction of matching dimensions (companions match on overlap)."""
-    matches = 0.0
-    for dimension in CONTEXT_DIMENSIONS:
-        va, vb = a.value(dimension), b.value(dimension)
-        if dimension == "companions":
-            set_a, set_b = set(va), set(vb)
-            if not set_a and not set_b:
-                matches += 1.0
-            elif set_a or set_b:
-                union = set_a | set_b
-                matches += len(set_a & set_b) / len(union) if union else 1.0
-        elif va == vb:
-            matches += 1.0
-    return matches / len(CONTEXT_DIMENSIONS)

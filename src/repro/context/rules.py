@@ -43,7 +43,7 @@ class ActivationRule:
         """Whether every condition holds under ``context``."""
         for dimension, allowed in self.conditions.items():
             if dimension == "companions":
-                state = "alone" if context.alone else "accompanied"
+                state = "accompanied" if context.companions else "alone"
                 if isinstance(allowed, str):
                     if state != allowed:
                         return False

@@ -10,8 +10,8 @@ Public API:
 
 from repro.core.agora import Agora
 from repro.core.builder import build_agora
-from repro.core.config import PLANNER_KINDS, TOPOLOGY_KINDS, AgoraConfig
-from repro.core.consumer import Consumer, ConsumerResult
+from repro.core.config import AgoraConfig
+from repro.core.consumer import PLANNER_KINDS, Consumer, ConsumerResult
 from repro.core.market import AsyncMarketplace
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "Consumer",
     "ConsumerResult",
     "PLANNER_KINDS",
-    "TOPOLOGY_KINDS",
     "build_agora",
 ]

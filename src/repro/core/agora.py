@@ -20,16 +20,10 @@ from repro.data.items import MediaObject
 from repro.data.topics import TopicSpace
 from repro.data.vocabulary import Vocabulary
 from repro.multimodal.feeds import FeedService
-from repro.net.failures import ChurnSpec, LoadModel, LoadSpec, NodeHealth
+from repro.net.failures import ChurnSpec, LoadModel, NodeHealth
 from repro.net.messages import Message
 from repro.net.router import Network
-from repro.net.topology import (
-    Topology,
-    random_topology,
-    scale_free_topology,
-    small_world_topology,
-    star_topology,
-)
+from repro.net.topology import random_topology
 from repro.obs.flight import FlightRecorder
 from repro.obs.manifest import RunManifest, config_digest
 from repro.obs.profile import SimProfiler
@@ -48,6 +42,22 @@ from repro.sources.streams import UpdateStream
 from repro.trust.reputation import ReputationSystem
 from repro.uncertainty.calibration import BinnedCalibrator
 from repro.uncertainty.matching import MatchingEngine, build_matching_engine
+
+#: latent topics of the concept space
+N_TOPICS = 10
+#: true dimensions of the media feature space
+FEATURE_DIMENSIONS = 32
+VOCABULARY_SIZE = 2000
+#: link probability of the random overlay
+TOPOLOGY_EDGE_PROBABILITY = 0.3
+#: media items the concept lifter is fitted on
+LIFTER_SAMPLE_SIZE = 120
+FEATURE_SET = "content_metadata"
+#: graded relevance at or above which an item counts as relevant
+RELEVANCE_THRESHOLD = 0.75
+#: ranges the sources' true coverage and freshness lag are drawn from
+COVERAGE_RANGE = (0.6, 1.0)
+FRESHNESS_LAG_RANGE = (0.0, 20.0)
 
 
 class Agora:
@@ -80,35 +90,36 @@ class Agora:
         self._streams = streams
 
         # --- latent semantics and content machinery -------------------
-        self.topic_space = TopicSpace(config.n_topics)
+        self.topic_space = TopicSpace(N_TOPICS)
         self.vocabulary = Vocabulary(
             self.topic_space, streams.spawn("vocab"),
-            vocabulary_size=config.vocabulary_size,
+            vocabulary_size=VOCABULARY_SIZE,
         )
         self.corpus = CorpusGenerator(
             self.topic_space, self.vocabulary, streams.spawn("corpus"),
-            feature_dimensions=config.feature_dimensions,
+            feature_dimensions=FEATURE_DIMENSIONS,
         )
         self.extractor = FeatureExtractor(
-            config.feature_dimensions, streams.spawn("features")
+            FEATURE_DIMENSIONS, streams.spawn("features")
         )
         self.domains: List[DomainSpec] = iris_domains()
         self.engine = self._build_engine()
         self.oracle = RelevanceOracle(
-            self.topic_space, relevance_threshold=config.relevance_threshold
+            self.topic_space, relevance_threshold=RELEVANCE_THRESHOLD
         )
 
         # --- overlay network ------------------------------------------
-        self.topology = self._build_topology()
+        # +1 node for consumers to sit on
+        self.topology = random_topology(
+            max(2, config.n_sources + 1), streams.spawn("topology"),
+            TOPOLOGY_EDGE_PROBABILITY,
+        )
         self.health = NodeHealth(
             self.sim, self.topology.nodes, streams.spawn("health"),
             spec=ChurnSpec(config.mean_uptime, config.mean_downtime),
             enabled=config.enable_churn,
         )
-        self.load = LoadModel(
-            self.topology.nodes, streams.spawn("load"),
-            LoadSpec(capacity=config.load_capacity),
-        )
+        self.load = LoadModel(streams.spawn("load"))
         self.network = Network(
             self.sim, self.topology, streams.spawn("net"), health=self.health
         )
@@ -137,7 +148,7 @@ class Agora:
             trace=self.sim.trace,
         )
         self.monitor.on_compliance(self.breakers.observe_compliance)
-        self.faults = FaultInjector(self.sim, self.health, load=self.load)
+        self.faults = FaultInjector(self.sim, self.health)
 
         # --- content: sources + calibration ----------------------------
         self.sources: Dict[str, InformationSource] = {}
@@ -166,26 +177,14 @@ class Agora:
         )
         sample = [
             item
-            for item in self.corpus.generate(sample_spec, self.config.lifter_sample_size)
+            for item in self.corpus.generate(sample_spec, LIFTER_SAMPLE_SIZE)
             if isinstance(item, MediaObject)
         ]
         return build_matching_engine(
             self.vocabulary, self.extractor,
-            feature_set=self.config.feature_set, lifter_sample=sample,
+            feature_set=FEATURE_SET, lifter_sample=sample,
             metrics=self.sim.metrics,
         )
-
-    def _build_topology(self) -> Topology:
-        config = self.config
-        streams = self._streams.spawn("topology")
-        n = max(2, config.n_sources + 1)  # +1 node for consumers to sit on
-        if config.topology == "random":
-            return random_topology(n, streams, config.topology_edge_probability)
-        if config.topology == "small-world":
-            return small_world_topology(n, streams, k_neighbors=min(4, n - 1))
-        if config.topology == "scale-free":
-            return scale_free_topology(n, streams, attachment=min(2, n - 1))
-        return star_topology(n, streams)
 
     def _draw_quality(self, rng: np.random.Generator) -> SourceQuality:
         config = self.config
@@ -193,8 +192,8 @@ class Agora:
             int(rng.choice(3, p=[0.3, 0.5, 0.2]))
         ]
         return SourceQuality(
-            coverage=float(rng.uniform(*config.coverage_range)),
-            freshness_lag=float(rng.uniform(*config.freshness_lag_range)),
+            coverage=float(rng.uniform(*COVERAGE_RANGE)),
+            freshness_lag=float(rng.uniform(*FRESHNESS_LAG_RANGE)),
             error_rate=float(rng.uniform(*config.error_rate_range)),
             trust_class=trust_class,
             overpromise=float(rng.uniform(*config.overpromise_range)),
@@ -244,7 +243,7 @@ class Agora:
                 continue
             scores.append(self.engine.score(a, b))
             truth = self.topic_space.relevance(a.latent, b.latent)
-            labels.append(int(truth >= self.config.relevance_threshold))
+            labels.append(int(truth >= RELEVANCE_THRESHOLD))
         if sum(labels) == 0 or sum(labels) == len(labels):
             return calibrator  # degenerate sample: stay unfitted
         return calibrator.fit(scores, labels)
@@ -337,13 +336,6 @@ class Agora:
     def available_domains(self) -> List[str]:
         """Domains advertised by at least one source."""
         return self.registry.domains()
-
-    def source_census(self) -> Dict[str, int]:
-        """Items per source (diagnostic)."""
-        return {
-            source_id: source.collection_size
-            for source_id, source in sorted(self.sources.items())
-        }
 
     def __repr__(self) -> str:
         return (

@@ -7,35 +7,23 @@ from typing import Tuple
 
 from repro.resilience.policy import ResilienceConfig
 
-TOPOLOGY_KINDS = ("random", "small-world", "scale-free", "star")
-PLANNER_KINDS = ("trading", "exhaustive", "greedy", "local")
-
 
 @dataclass
 class AgoraConfig:
     """Tunable knobs for building an agora.
 
     Defaults give a laptop-scale agora: 10 sources over the five Iris
-    domains, a random overlay, churn off.
+    domains, churn off.  The knobs no experiment varies are constants of
+    :mod:`repro.core.agora`.
     """
 
     seed: int = 7
     n_sources: int = 10
     items_per_source: int = 60
-    n_topics: int = 10
-    feature_dimensions: int = 32
-    vocabulary_size: int = 2000
-    topology: str = "random"
-    topology_edge_probability: float = 0.3
     enable_churn: bool = False
     mean_uptime: float = 500.0
     mean_downtime: float = 20.0
-    load_capacity: float = 50.0
     calibration_pairs: int = 600
-    lifter_sample_size: int = 120
-    feature_set: str = "content_metadata"
-    planner: str = "trading"
-    relevance_threshold: float = 0.75
     start_update_streams: bool = False
     #: attach a causal span tracer to the kernel and record per-query
     #: span trees (off by default: tracing costs a few percent and most
@@ -58,21 +46,16 @@ class AgoraConfig:
     #: individual consumers may override with their own config
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     overpromise_range: Tuple[float, float] = (0.0, 0.3)
-    coverage_range: Tuple[float, float] = (0.6, 1.0)
     error_rate_range: Tuple[float, float] = (0.0, 0.15)
-    freshness_lag_range: Tuple[float, float] = (0.0, 20.0)
 
     def __post_init__(self) -> None:
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
         if self.items_per_source < 0:
             raise ValueError("items_per_source must be non-negative")
-        if self.topology not in TOPOLOGY_KINDS:
-            raise ValueError(f"topology must be one of {TOPOLOGY_KINDS}")
-        if self.planner not in PLANNER_KINDS:
-            raise ValueError(f"planner must be one of {PLANNER_KINDS}")
-        for name in ("overpromise_range", "coverage_range",
-                     "error_rate_range", "freshness_lag_range"):
+        if self.calibration_pairs < 0:
+            raise ValueError("calibration_pairs must be non-negative")
+        for name in ("overpromise_range", "error_rate_range"):
             low, high = getattr(self, name)
             if low > high:
                 raise ValueError(f"{name}: low must be <= high")

@@ -9,7 +9,7 @@ resources they deal with" (§3) — the :class:`Consumer` is that agent.  One
 3. plan — by trading (contract-net + SLAs, §3-4) or by multi-objective
    search over advertised candidates (§4),
 4. execute against live sources over the simulated overlay (§2's
-   unavailability/overload/blacklist pathologies apply),
+   unavailability/overload pathologies apply),
 5. settle contracts and update trust (§3 + reputation),
 6. personalize (and optionally socialize) the final ranking (§5-6).
 """
@@ -43,6 +43,8 @@ from repro.resilience.policy import ResilienceConfig
 from repro.social.fusion import SocialRanker
 from repro.trust.reputation import ReputationSystem
 from repro.uncertainty.results import UncertainResultSet
+
+PLANNER_KINDS = ("trading", "exhaustive", "greedy", "local")
 
 
 @dataclass
@@ -86,7 +88,8 @@ class Consumer:
     node_id:
         Overlay attachment point; defaults to the agora's consumer node.
     planner:
-        Overrides the agora config's planner kind.
+        One of :data:`PLANNER_KINDS`: trading (contract-net + SLAs) or a
+        search over advertised candidates.
     personalization_weight:
         α of the personalized re-ranking blend (0 disables).
     resilience:
@@ -100,15 +103,17 @@ class Consumer:
         agora: Agora,
         profile: Union[UserProfile, ConditionalProfile],
         node_id: Optional[str] = None,
-        planner: Optional[str] = None,
+        planner: str = "trading",
         personalization_weight: float = 0.4,
         trust_view=None,
         resilience: Optional[ResilienceConfig] = None,
     ):
+        if planner not in PLANNER_KINDS:
+            raise ValueError(f"planner must be one of {PLANNER_KINDS}")
         self.agora = agora
         self._profile = profile
         self.node_id = node_id if node_id is not None else agora.consumer_node()
-        self.planner = planner if planner is not None else agora.config.planner
+        self.planner = planner
         self.personalization_weight = personalization_weight
         #: the consumer's *personal* trust view (distinct from global ledger)
         self.reputation = ReputationSystem()

@@ -8,7 +8,6 @@ Public API:
 - :class:`Vocabulary` — topic-conditioned term generation.
 - :class:`CorpusGenerator`, :class:`DomainSpec`, :func:`iris_domains` —
   multi-domain synthetic corpora.
-- :class:`ProvenanceChain` — item origin tracking.
 """
 
 from repro.data.corpus import CorpusGenerator, DomainSpec, iris_domains
@@ -24,11 +23,9 @@ from repro.data.items import (
     MediaObject,
     TextDocument,
     combined_latent,
-    item_census,
     make_item_id,
     reset_item_ids,
 )
-from repro.data.provenance import ProvenanceChain, ProvenanceHop, originate
 from repro.data.topics import TopicSpace
 from repro.data.vocabulary import Vocabulary
 
@@ -42,15 +39,11 @@ __all__ = [
     "FeatureSetSpec",
     "InformationItem",
     "MediaObject",
-    "ProvenanceChain",
-    "ProvenanceHop",
     "TextDocument",
     "TopicSpace",
     "Vocabulary",
     "combined_latent",
     "iris_domains",
-    "item_census",
     "make_item_id",
-    "originate",
     "reset_item_ids",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -236,18 +236,6 @@ class CorpusGenerator:
     ) -> List[InformationItem]:
         """Generate ``count`` items for a domain at time ``created_at``."""
         return [self.generate_item(spec, created_at) for __ in range(count)]
-
-    def generate_collection(
-        self,
-        specs: Sequence[DomainSpec],
-        items_per_domain: int,
-        created_at: float = 0.0,
-    ) -> Dict[str, List[InformationItem]]:
-        """Generate a full multi-domain corpus keyed by domain name."""
-        return {
-            spec.name: self.generate(spec, items_per_domain, created_at)
-            for spec in specs
-        }
 
     # ------------------------------------------------------------------
     def _make_text(

@@ -11,7 +11,7 @@ experiments can quantify matching quality as a function of feature choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -87,26 +87,16 @@ class FeatureExtractor:
             specs if specs is not None else DEFAULT_FEATURE_SETS
         )
         self._projections: Dict[str, np.ndarray] = {}
-        self._combined: Dict[str, List[str]] = {}
 
     # ------------------------------------------------------------------
-    def feature_set_names(self) -> List[str]:
-        """Sorted names of registered feature sets."""
-        return sorted(self.specs)
-
     def spec(self, name: str) -> FeatureSetSpec:
         """Look up a feature-set spec by name."""
         try:
             return self.specs[name]
         except KeyError:
             raise KeyError(
-                f"unknown feature set {name!r}; known: {self.feature_set_names()}"
+                f"unknown feature set {name!r}; known: {sorted(self.specs)}"
             ) from None
-
-    def add_feature_set(self, spec: FeatureSetSpec) -> None:
-        """Register an additional feature set (e.g. a combined one)."""
-        self.specs[spec.name] = spec
-        self._projections.pop(spec.name, None)
 
     def _projection(self, name: str) -> np.ndarray:
         if name not in self._projections:
@@ -160,29 +150,3 @@ class FeatureExtractor:
         if not rows:
             return np.zeros((0, self.spec(feature_set).dimensions))
         return np.stack(rows)
-
-    def combined_spec(self, names: Iterable[str], label: str = "combined") -> FeatureSetSpec:
-        """Create and register a concatenated feature set from ``names``."""
-        specs = [self.spec(name) for name in names]
-        if not specs:
-            raise ValueError("need at least one feature set to combine")
-        combined = FeatureSetSpec(
-            name=label,
-            dimensions=sum(s.dimensions for s in specs),
-            fidelity=float(np.mean([s.fidelity for s in specs])),
-            noise_scale=float(np.mean([s.noise_scale for s in specs])),
-            cost=sum(s.cost for s in specs),
-        )
-        self.add_feature_set(combined)
-        self._combined[label] = [s.name for s in specs]
-        return combined
-
-    def extract_combined(self, obj: MediaObject, label: str) -> np.ndarray:
-        """Extract a previously registered combined feature set."""
-        members = self._combined.get(label)
-        if not members:
-            raise KeyError(f"no combined feature set registered as {label!r}")
-        parts = [self.extract(obj, member) for member in members]
-        concatenated = np.concatenate(parts)
-        norm = np.linalg.norm(concatenated)
-        return concatenated / norm if norm > 0 else concatenated

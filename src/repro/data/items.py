@@ -5,7 +5,7 @@ The paper's scenario mixes text documents, images, and compound objects
 model the type hierarchy explicitly:
 
 - :class:`InformationItem` — common base: identity, domain, latent topic
-  vector, creation time, provenance.
+  vector, creation time.
 - :class:`TextDocument` — adds a term-frequency vector.
 - :class:`MediaObject` — adds a true perceptual feature vector (images,
   audio) from which noisy observable feature sets are derived.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,11 +60,6 @@ class InformationItem:
     created_at: float = 0.0
     metadata: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def item_type(self) -> str:
-        """The concrete class name (used for matcher dispatch)."""
-        return type(self).__name__
-
     def age(self, now: float) -> float:
         """Item age at virtual time ``now`` (never negative)."""
         return max(0.0, now - self.created_at)
@@ -81,11 +76,6 @@ class TextDocument(InformationItem):
     """A textual object: thesis, article, catalog entry text."""
 
     terms: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def length(self) -> int:
-        """Total term count of the document."""
-        return sum(self.terms.values())
 
 
 @dataclass(eq=False)
@@ -154,11 +144,3 @@ def combined_latent(
         raise ValueError("total part weight must be positive")
     vectors = np.stack([part.latent * weight for part, weight in parts])
     return vectors.sum(axis=0) / total
-
-
-def item_census(items: Sequence[InformationItem]) -> Mapping[str, int]:
-    """Count items by concrete type name (diagnostic helper)."""
-    census: Dict[str, int] = {}
-    for item in items:
-        census[item.item_type] = census.get(item.item_type, 0) + 1
-    return census

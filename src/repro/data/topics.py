@@ -179,11 +179,6 @@ class TopicSpace:
             relevances = dots / (na * norms)
         return np.where(norms == 0, 0.0, relevances)
 
-    def peak_topic(self, vector: np.ndarray) -> str:
-        """Name of the dominant topic of ``vector``."""
-        vector = self.validate(vector)
-        return self.names[int(np.argmax(vector))]
-
     def basis(self, topic: str, weight: float = 1.0) -> np.ndarray:
         """Return a vector concentrated on ``topic``.
 

@@ -94,13 +94,6 @@ class Vocabulary:
             for index, count in zip(present.tolist(), counts[present].tolist())
         }
 
-    def term_vector(self, terms: Dict[str, int]) -> np.ndarray:
-        """Dense term-frequency vector for a bag of terms."""
-        vector = np.zeros(self.vocabulary_size)
-        indices, counts = self._term_indices(terms)
-        vector[indices] = counts
-        return vector
-
     def _term_indices(self, terms: Dict[str, int]) -> Tuple[List[int], List[int]]:
         """In-vocabulary term indices and their counts, in bag order.
 
@@ -146,9 +139,3 @@ class Vocabulary:
         log_likelihood -= log_likelihood.max()
         posterior = np.exp(log_likelihood)
         return posterior / posterior.sum()
-
-    def topic_posterior_many(self, bags: List[Dict[str, int]]) -> np.ndarray:
-        """Stacked :meth:`topic_posterior` rows for many term bags."""
-        if not bags:
-            return np.zeros((0, self.topic_space.n_topics))
-        return np.stack([self.topic_posterior(bag) for bag in bags])

@@ -18,7 +18,6 @@ from repro.experiments.metrics import (
 from repro.experiments.runner import (
     ExperimentResult,
     ExperimentSuite,
-    append_run_dashboard,
     render_run_dashboard,
 )
 from repro.experiments.tables import render_table
@@ -27,7 +26,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSuite",
     "Summary",
-    "append_run_dashboard",
     "mann_whitney_p",
     "relative_improvement",
     "render_run_dashboard",

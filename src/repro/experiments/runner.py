@@ -2,18 +2,17 @@
 
 Each benchmark builds an :class:`ExperimentResult`, adds rows, and prints
 the table the experiment index in DESIGN.md promises.  Results can also be
-appended to a report file (EXPERIMENTS.md workflow), optionally followed
-by the run's observability dashboard (:func:`append_run_dashboard`).
+appended to a report file or written as CSV.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List
 
 from repro.experiments.tables import render_table
-from repro.obs.dashboard import append_dashboard, render_dashboard
+from repro.obs.dashboard import render_dashboard
 
 
 @dataclass
@@ -98,18 +97,6 @@ def render_run_dashboard(run: Any, title: str = "Run dashboard") -> str:
     manifest = run.run_manifest() if hasattr(run, "run_manifest") else None
     return render_dashboard(
         run.sim.metrics, spans=spans, manifest=manifest, title=title
-    )
-
-
-def append_run_dashboard(
-    path: Union[str, Path], run: Any, title: str = "Run dashboard"
-) -> None:
-    """Append a run's observability dashboard to a markdown report file."""
-    tracer = getattr(run, "tracer", None)
-    spans = tracer.spans() if tracer is not None else None
-    manifest = run.run_manifest() if hasattr(run, "run_manifest") else None
-    append_dashboard(
-        path, run.sim.metrics, spans=spans, manifest=manifest, title=title
     )
 
 

@@ -15,7 +15,7 @@ against the annotated part automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.data.items import Annotation, CompoundObject, InformationItem, make_item_id
 from repro.multimodal.feeds import FeedService, StandingQuery
@@ -28,7 +28,7 @@ class AnnotationRecord:
     """An annotation plus the standing comparison it drives."""
 
     annotation: Annotation
-    standing_id: Optional[int] = None
+    standing: Optional[StandingQuery] = None
 
 
 class AnnotationService:
@@ -37,7 +37,6 @@ class AnnotationService:
     def __init__(self, feeds: Optional[FeedService] = None, auto_compare: bool = True):
         self.feeds = feeds
         self.auto_compare = auto_compare and feeds is not None
-        self._records: Dict[str, List[AnnotationRecord]] = {}
 
     # ------------------------------------------------------------------
     def annotate(
@@ -71,20 +70,20 @@ class AnnotationService:
                 threshold=comparison_threshold,
             )
             assert self.feeds is not None
-            record.standing_id = self.feeds.register(standing)
-        self._records.setdefault(author_id, []).append(record)
+            self.feeds.register(standing)
+            record.standing = standing
         return record
 
     def extend_comparison(
         self, author_id: str, record: AnnotationRecord, item: InformationItem
     ) -> None:
         """Add another object to an annotation's running comparison."""
-        if record.standing_id is None or self.feeds is None:
+        standing = record.standing
+        if standing is None:
             raise ValueError("annotation has no standing comparison")
-        standing = self.feeds.standing_query(record.standing_id)
         if standing.owner_id != author_id:
             raise PermissionError("only the author may modify the comparison")
-        standing.add_comparison_item(item)
+        standing.comparison_items.append(item)
 
     def auto_annotate(
         self,
@@ -112,12 +111,3 @@ class AnnotationService:
                 comparison_threshold=comparison_threshold,
             ))
         return records
-
-    # ------------------------------------------------------------------
-    def annotations_by(self, author_id: str) -> List[Annotation]:
-        """Annotations authored by ``author_id``."""
-        return [record.annotation for record in self._records.get(author_id, [])]
-
-    def records_by(self, author_id: str) -> List[AnnotationRecord]:
-        """Annotation records authored by ``author_id``."""
-        return list(self._records.get(author_id, []))

@@ -155,7 +155,3 @@ class Browser:
         for __ in range(steps):
             self.step()
         return list(self.trail)
-
-    def visited_items(self) -> List[InformationItem]:
-        """Items visited so far, in trail order."""
-        return [step.item for step in self.trail]

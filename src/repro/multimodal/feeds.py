@@ -51,17 +51,12 @@ class StandingQuery:
     threshold: float = 0.5
     domains: Optional[Sequence[str]] = None
     standing_id: int = field(default_factory=lambda: next(_STANDING_COUNTER))
-    active: bool = True
 
     def __post_init__(self) -> None:
         if not self.comparison_items:
             raise ValueError("standing query needs at least one comparison item")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
-
-    def add_comparison_item(self, item: InformationItem) -> None:
-        """Modify the running query: add a new object to compare against."""
-        self.comparison_items.append(item)
 
     def targets_domain(self, domain: str) -> bool:
         """Whether this standing query screens items from ``domain``."""
@@ -101,29 +96,16 @@ class FeedService:
         self._inboxes.setdefault(standing.owner_id, [])
         return standing.standing_id
 
-    def cancel(self, standing_id: int) -> None:
-        """Deactivate a standing query (idempotent)."""
-        standing = self._standing.get(standing_id)
-        if standing is not None:
-            standing.active = False
-
-    def standing_query(self, standing_id: int) -> StandingQuery:
-        """Look up a registered standing query by id."""
-        try:
-            return self._standing[standing_id]
-        except KeyError:
-            raise KeyError(f"unknown standing query {standing_id}") from None
-
     def attach(self, stream: UpdateStream) -> None:
         """Subscribe this service to a source's update stream."""
         stream.subscribe(self.on_new_item)
 
     # ------------------------------------------------------------------
     def on_new_item(self, source_id: str, item: InformationItem) -> None:
-        """Screen one incoming item against all active standing queries."""
+        """Screen one incoming item against all standing queries."""
         self.items_screened += 1
         for standing in self._standing.values():
-            if not standing.active or not standing.targets_domain(item.domain):
+            if not standing.targets_domain(item.domain):
                 continue
             score = max(
                 self.engine.score(evidence, item)
@@ -147,10 +129,6 @@ class FeedService:
                 self._inboxes.setdefault(standing.owner_id, []).append(hit)
 
     # ------------------------------------------------------------------
-    def inbox(self, owner_id: str) -> List[FeedHit]:
-        """Peek at an owner's undelivered hits."""
-        return list(self._inboxes.get(owner_id, []))
-
     def drain(self, owner_id: str) -> List[FeedHit]:
         """Take and clear the owner's inbox."""
         hits = self._inboxes.get(owner_id, [])

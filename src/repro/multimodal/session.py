@@ -112,10 +112,6 @@ class InteractionSession:
         return list(self.discoveries)
 
     # ------------------------------------------------------------------
-    def items(self) -> List[InformationItem]:
-        """All discovered items in discovery order."""
-        return [d.item for d in self.discoveries]
-
     def steps_to_find(
         self, predicate: Callable[[InformationItem], bool], count: int,
     ) -> Optional[int]:

@@ -11,7 +11,7 @@ job to the bid with the highest consumer utility and signs an SLA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.qos.pricing import Quote
 from repro.qos.sla import SLAContract
@@ -54,10 +54,8 @@ class Proposal:
         return self.execution_source_id or self.provider_id
 
 
-class Bidder(Protocol):
-    """Anything that can respond to a CFP (source adapters, intermediaries)."""
-
-    def __call__(self, cfp: CallForProposals) -> Optional[Proposal]: ...
+#: anything that can respond to a CFP (source adapters, intermediaries)
+Bidder = Callable[[CallForProposals], Optional[Proposal]]
 
 
 AwardHook = Callable[[Proposal, SLAContract], None]

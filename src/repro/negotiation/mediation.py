@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from repro.negotiation.offers import IssueSpace, Offer
 from repro.negotiation.utility import AdditiveUtility
 from repro.sim.rng import ScopedStreams
@@ -30,16 +29,6 @@ class MediationOutcome:
     proposals_made: int
     buyer_gain: float
     seller_gain: float
-
-    @property
-    def improved_anything(self) -> bool:
-        """Whether any proposal was mutually accepted."""
-        return self.rounds_accepted > 0
-
-    @property
-    def joint_gain(self) -> float:
-        """Buyer gain plus seller gain."""
-        return self.buyer_gain + self.seller_gain
 
 
 class Mediator:

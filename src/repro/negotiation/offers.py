@@ -46,19 +46,11 @@ class IssueSpace:
         names = [issue.name for issue in self.issues]
         if len(set(names)) != len(names):
             raise ValueError("issue names must be unique")
-        self._by_name = {issue.name: issue for issue in self.issues}
 
     @property
     def names(self) -> List[str]:
         """Issue names in declaration order."""
         return [issue.name for issue in self.issues]
-
-    def issue(self, name: str) -> Issue:
-        """Look up an issue by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"unknown issue {name!r}") from None
 
     def validate(self, offer: Mapping[str, float]) -> Offer:
         """Check ``offer`` covers every issue within range; return a copy."""

@@ -61,11 +61,6 @@ class NegotiationOutcome:
         """Buyer + seller utility of the deal (0 if no deal)."""
         return self.buyer_utility + self.seller_utility if self.agreed else 0.0
 
-    @property
-    def nash_product(self) -> float:
-        """Buyer × seller utility of the deal (0 if no deal)."""
-        return self.buyer_utility * self.seller_utility if self.agreed else 0.0
-
 
 class AlternatingOffersProtocol:
     """Runs bilateral alternating-offers negotiations.

@@ -16,9 +16,9 @@ to negotiate with the merchant").
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 
 class ConcessionStrategy(ABC):
@@ -26,15 +26,6 @@ class ConcessionStrategy(ABC):
 
     #: highest utility demanded (at t=0)
     start_utility: float = 0.95
-
-    @abstractmethod
-    def target(self, t: float, own_floor: float, opponent_utilities: Sequence[float]) -> float:
-        """Demanded own-utility at normalised time ``t`` ∈ [0, 1].
-
-        ``own_floor`` is the reservation utility; targets never go below
-        it.  ``opponent_utilities`` is the history of the opponent's offers
-        valued by *our* utility (for behaviour-dependent strategies).
-        """
 
     @staticmethod
     def _check_time(t: float) -> None:

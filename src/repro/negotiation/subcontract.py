@@ -125,8 +125,3 @@ class Intermediary:
             job_id=outer_contract.job_id,
         )
         self.records.append(SubcontractRecord(outer=outer_contract, inner=inner_contract))
-
-    @property
-    def total_margin_earned(self) -> float:
-        """Margin summed over all records."""
-        return sum(record.margin_earned for record in self.records)

@@ -141,7 +141,3 @@ class NegotiationPreferences:
     def __post_init__(self) -> None:
         if not 0.0 <= self.reservation <= 1.0:
             raise ValueError("reservation must be in [0, 1]")
-
-    def acceptable(self, offer: Mapping[str, float]) -> bool:
-        """Whether the offer clears the reservation utility."""
-        return self.utility(offer) >= self.reservation

@@ -2,13 +2,11 @@
 
 Public API:
 
-- :class:`Topology` and builders (:func:`random_topology`,
-  :func:`small_world_topology`, :func:`scale_free_topology`,
-  :func:`star_topology`).
+- :class:`Topology` and its builder :func:`random_topology`.
 - :class:`Network` — message passing with latency, jitter and drops.
 - :class:`Message` — the unit of communication.
 - :class:`NodeHealth`, :class:`ChurnSpec` — node up/down churn.
-- :class:`LoadModel`, :class:`LoadSpec` — overload and decline behaviour.
+- :class:`LoadModel`, :class:`LoadSpec` — random declines of new requests.
 - :class:`GossipProtocol` — epidemic dissemination.
 """
 
@@ -20,9 +18,6 @@ from repro.net.topology import (
     LinkSpec,
     Topology,
     random_topology,
-    scale_free_topology,
-    small_world_topology,
-    star_topology,
 )
 
 __all__ = [
@@ -37,7 +32,4 @@ __all__ = [
     "Topology",
     "random_topology",
     "reset_message_ids",
-    "scale_free_topology",
-    "small_world_topology",
-    "star_topology",
 ]

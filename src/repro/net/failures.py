@@ -2,18 +2,19 @@
 
 Section 2 of the paper lists the ways a source may silently drop out of a
 request: *overloading, unavailability, or black-listing*.  This module
-models the first two; blacklists live in :mod:`repro.trust.blacklist`.
+models the first two; no experiment blacklists anyone, so the third has
+no model.
 
 - :class:`NodeHealth` — per-node up/down state driven by an alternating
   renewal (churn) process.
-- :class:`LoadModel` — per-node concurrent-request load with a capacity;
-  the probability of declining a request grows with utilisation.
+- :class:`LoadModel` — a node declines a new request with a small fixed
+  probability (the paper's "declined to participate").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -52,7 +53,6 @@ class NodeHealth:
         self._rng = streams.stream("churn")
         self.spec = spec if spec is not None else ChurnSpec()
         self._up: Dict[str, bool] = {node: True for node in nodes}
-        self._listeners: List[Callable[[str, bool], None]] = []
         if enabled:
             for node in sorted(self._up):
                 self._schedule_transition(node)
@@ -62,10 +62,6 @@ class NodeHealth:
         """Whether ``node`` is currently up (unknown nodes are down)."""
         return self._up.get(node, False)
 
-    def up_nodes(self) -> List[str]:
-        """Sorted ids of nodes currently up."""
-        return sorted(node for node, up in self._up.items() if up)
-
     def nodes(self) -> List[str]:
         """Sorted ids of all tracked nodes."""
         return sorted(self._up)
@@ -74,20 +70,7 @@ class NodeHealth:
         """Force a node's state (used by tests and failure injection)."""
         if node not in self._up:
             raise KeyError(f"unknown node {node!r}")
-        if self._up[node] != up:
-            self._up[node] = up
-            for listener in self._listeners:
-                listener(node, up)
-
-    def on_change(self, listener: Callable[[str, bool], None]) -> None:
-        """Register a callback invoked as ``listener(node, is_up)``."""
-        self._listeners.append(listener)
-
-    def availability(self) -> float:
-        """Fraction of nodes currently up."""
-        if not self._up:
-            return 0.0
-        return sum(self._up.values()) / len(self._up)
+        self._up[node] = up
 
     # ------------------------------------------------------------------
     def _schedule_transition(self, node: str) -> None:
@@ -104,71 +87,31 @@ class NodeHealth:
 
 @dataclass
 class LoadSpec:
-    """Capacity model parameters."""
+    """Decline model parameters."""
 
-    capacity: float = 10.0  # concurrent requests a node handles comfortably
-    decline_sharpness: float = 4.0  # how steeply decline prob. rises with load
+    decline_sharpness: float = 4.0  # larger = an idle node declines more rarely
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
         if self.decline_sharpness < 0:
             raise ValueError("decline_sharpness must be non-negative")
 
 
 class LoadModel:
-    """Concurrent load per node, with load-dependent decline probability.
+    """Random declines of new requests at idle nodes.
 
-    The decline probability is a logistic function of utilisation
-    ``u = load / capacity`` centred at ``u = 1``: nodes under capacity almost
-    never decline, saturated nodes usually do — the paper's "declined to
-    participate because of overloading".
+    A node declines with probability ``1 / (1 + exp(decline_sharpness))``:
+    a logistic decline law in utilisation, centred at capacity, read at
+    zero load.  No experiment puts load on a node, so utilisation itself
+    is not modelled.
     """
 
-    def __init__(
-        self,
-        nodes: Iterable[str],
-        streams: ScopedStreams,
-        spec: Optional[LoadSpec] = None,
-    ):
+    def __init__(self, streams: ScopedStreams, spec: Optional[LoadSpec] = None):
         self._rng = streams.stream("load")
         self.spec = spec if spec is not None else LoadSpec()
-        self._load: Dict[str, float] = {node: 0.0 for node in nodes}
-
-    def load(self, node: str) -> float:
-        """Current concurrent load at ``node``."""
-        return self._load.get(node, 0.0)
-
-    def nodes(self) -> List[str]:
-        """Sorted ids of all tracked nodes."""
-        return sorted(self._load)
-
-    def utilisation(self, node: str) -> float:
-        """Load relative to capacity at ``node``."""
-        return self.load(node) / self.spec.capacity
-
-    def begin(self, node: str, amount: float = 1.0) -> None:
-        """Account for a request starting at ``node``."""
-        if node not in self._load:
-            raise KeyError(f"unknown node {node!r}")
-        self._load[node] += amount
-
-    def end(self, node: str, amount: float = 1.0) -> None:
-        """Account for a request finishing at ``node``."""
-        if node not in self._load:
-            raise KeyError(f"unknown node {node!r}")
-        self._load[node] = max(0.0, self._load[node] - amount)
-
-    def decline_probability(self, node: str) -> float:
-        """Probability that ``node`` declines a new request right now."""
-        utilisation = self.utilisation(node)
-        z = self.spec.decline_sharpness * (utilisation - 1.0)
-        return float(1.0 / (1.0 + np.exp(-z)))
+        self.decline_probability = float(
+            1.0 / (1.0 + np.exp(self.spec.decline_sharpness))
+        )
 
     def declines(self, node: str) -> bool:
         """Sample the decline decision for a new request at ``node``."""
-        return bool(self._rng.random() < self.decline_probability(node))
-
-    def service_slowdown(self, node: str) -> float:
-        """Multiplier on service time due to load (>= 1)."""
-        return 1.0 + max(0.0, self.utilisation(node) - 0.5)
+        return bool(self._rng.random() < self.decline_probability)

@@ -55,15 +55,6 @@ class GossipProtocol:
         """Whether ``node`` has seen ``rumour_id``."""
         return rumour_id in self._seen.get(node, set())
 
-    def coverage(self, rumour_id: str) -> float:
-        """Fraction of subscribed nodes that have seen ``rumour_id``."""
-        if not self._subscribers:
-            return 0.0
-        knowing = sum(
-            1 for node in self._subscribers if rumour_id in self._seen.get(node, set())
-        )
-        return knowing / len(self._subscribers)
-
     # ------------------------------------------------------------------
     def start(self, origin: str, rumour_id: str, data: Any) -> None:
         """Inject a rumour at ``origin`` and begin gossiping."""

@@ -72,10 +72,6 @@ class Network:
             raise KeyError(f"node {node!r} is not in the topology")
         self._handlers[node] = handler
 
-    def unregister(self, node: str) -> None:
-        """Remove the handler for ``node`` (idempotent)."""
-        self._handlers.pop(node, None)
-
     def _path(self, source: str, target: str) -> List[str]:
         key = (source, target)
         if key not in self._path_cache:
@@ -161,13 +157,3 @@ class Network:
             # triggered it (gossip round, feed push, ...).
             self.sim.schedule(delay, deliver, tag=f"deliver:{message.kind}")
         return True
-
-    def broadcast(self, sender: str, kind: str, payload=None, size: float = 1.0) -> int:
-        """Send a message to every other registered node; returns #sent."""
-        sent = 0
-        for node in sorted(self._handlers):
-            if node == sender:
-                continue
-            if self.send(Message(sender, node, kind, payload, size)):
-                sent += 1
-        return sent

@@ -2,9 +2,8 @@
 
 The Open Agora is "a distributed environment of independent information
 systems"; we model its overlay as an undirected graph whose edges carry
-latency and bandwidth.  Three standard families are provided — random
-(Erdős–Rényi), small-world (Watts–Strogatz) and scale-free
-(Barabási–Albert) — all forced to be connected so every peer is reachable.
+latency and bandwidth.  The overlay is a random (Erdős–Rényi) graph,
+forced to be connected so every peer is reachable.
 """
 
 from __future__ import annotations
@@ -46,16 +45,6 @@ class Topology:
         """Sorted node identifiers."""
         return sorted(self.graph.nodes)
 
-    @property
-    def node_count(self) -> int:
-        """Number of overlay nodes."""
-        return self.graph.number_of_nodes()
-
-    @property
-    def edge_count(self) -> int:
-        """Number of overlay links."""
-        return self.graph.number_of_edges()
-
     def neighbors(self, node: str) -> List[str]:
         """Sorted neighbours of ``node``."""
         return sorted(self.graph.neighbors(node))
@@ -67,10 +56,6 @@ class Topology:
             return self._links[key]
         except KeyError:
             raise KeyError(f"no link between {a!r} and {b!r}") from None
-
-    def has_link(self, a: str, b: str) -> bool:
-        """Whether a direct link joins ``a`` and ``b``."""
-        return self.graph.has_edge(a, b)
 
     def shortest_path(self, source: str, target: str) -> List[str]:
         """Latency-weighted shortest path (node list, inclusive)."""
@@ -84,13 +69,11 @@ class Topology:
             total += self.link(a, b).latency
         return total
 
-    def diameter_latency(self) -> float:
-        """Maximum pairwise latency-weighted distance (small graphs only)."""
-        lengths = dict(nx.all_pairs_dijkstra_path_length(self.graph, weight="latency"))
-        return max(max(d.values()) for d in lengths.values())
-
     def __repr__(self) -> str:
-        return f"Topology(nodes={self.node_count}, edges={self.edge_count})"
+        return (
+            f"Topology(nodes={self.graph.number_of_nodes()}, "
+            f"edges={self.graph.number_of_edges()})"
+        )
 
 
 def _assign_links(
@@ -136,58 +119,6 @@ def random_topology(
     rng = streams.stream("topology")
     graph = nx.gnp_random_graph(n_nodes, edge_probability, seed=int(rng.integers(2**31)))
     graph = _ensure_connected(graph, rng)
-    graph = _relabel(graph)
-    links = _assign_links(graph, streams, latency_range, bandwidth_range)
-    return Topology(graph, links)
-
-
-def small_world_topology(
-    n_nodes: int,
-    streams: ScopedStreams,
-    k_neighbors: int = 4,
-    rewire_probability: float = 0.2,
-    latency_range: Tuple[float, float] = (0.01, 0.2),
-    bandwidth_range: Tuple[float, float] = (10.0, 100.0),
-) -> Topology:
-    """Connected Watts–Strogatz overlay."""
-    if n_nodes <= k_neighbors:
-        raise ValueError("n_nodes must exceed k_neighbors")
-    rng = streams.stream("topology")
-    graph = nx.connected_watts_strogatz_graph(
-        n_nodes, k_neighbors, rewire_probability, seed=int(rng.integers(2**31))
-    )
-    graph = _relabel(graph)
-    links = _assign_links(graph, streams, latency_range, bandwidth_range)
-    return Topology(graph, links)
-
-
-def scale_free_topology(
-    n_nodes: int,
-    streams: ScopedStreams,
-    attachment: int = 2,
-    latency_range: Tuple[float, float] = (0.01, 0.2),
-    bandwidth_range: Tuple[float, float] = (10.0, 100.0),
-) -> Topology:
-    """Barabási–Albert overlay (hubs model large repositories)."""
-    if n_nodes <= attachment:
-        raise ValueError("n_nodes must exceed attachment")
-    rng = streams.stream("topology")
-    graph = nx.barabasi_albert_graph(n_nodes, attachment, seed=int(rng.integers(2**31)))
-    graph = _relabel(graph)
-    links = _assign_links(graph, streams, latency_range, bandwidth_range)
-    return Topology(graph, links)
-
-
-def star_topology(
-    n_nodes: int,
-    streams: ScopedStreams,
-    latency_range: Tuple[float, float] = (0.01, 0.2),
-    bandwidth_range: Tuple[float, float] = (10.0, 100.0),
-) -> Topology:
-    """A hub-and-spoke overlay (useful as a degenerate baseline)."""
-    if n_nodes < 2:
-        raise ValueError("star needs at least 2 nodes")
-    graph = nx.star_graph(n_nodes - 1)
     graph = _relabel(graph)
     links = _assign_links(graph, streams, latency_range, bandwidth_range)
     return Topology(graph, links)

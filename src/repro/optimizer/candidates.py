@@ -33,11 +33,6 @@ class CandidateAssignment:
         if not 0.0 <= self.breach_risk <= 1.0:
             raise ValueError("breach_risk must be in [0, 1]")
 
-    @property
-    def job_id(self) -> str:
-        """The subquery's stable job identifier."""
-        return self.subquery.subquery_id
-
 
 def discount_by_trust(advertised: QoSVector, trust: float, skepticism: float = 0.6) -> QoSVector:
     """Shrink advertised quality towards zero for untrusted sources.

@@ -87,33 +87,12 @@ class CandidatePlan:
             flat.extend(self.assignments[job_id])
         return flat
 
-    @property
-    def source_ids(self) -> List[str]:
-        """Sorted distinct sources the plan uses."""
-        return sorted({a.source_id for a in self.all_assignments})
-
-    def replication_factor(self) -> float:
-        """Mean number of sources per job."""
-        return len(self.all_assignments) / len(self.assignments)
-
     # ------------------------------------------------------------------
     def batch(self) -> Tuple[np.ndarray, Tuple[int, ...]]:
         """This plan as a batch of one: its (7, 1, n) assignment matrix and
         the number of replicas of each job, in job order."""
         matrix = assignment_columns(self.all_assignments)[:, np.newaxis, :]
         return matrix, tuple(len(self.assignments[job_id]) for job_id in self.job_ids)
-
-    def expected_qos(self) -> QoSVector:
-        """Aggregate the consumer's expected QoS for this plan."""
-        return PlanColumns.aggregate(*self.batch()).qos(0)
-
-    def expected_price(self, unit_price: float = 1.0) -> float:
-        """Price proxy: cost-mean of each assignment times ``unit_price``."""
-        return unit_price * float(PlanColumns.aggregate(*self.batch()).price[0])
-
-    def breach_risk(self) -> float:
-        """Probability at least one assignment breaches (independent)."""
-        return float(PlanColumns.aggregate(*self.batch()).breach_risk[0])
 
     # ------------------------------------------------------------------
     def to_plan_tree(self, query: Query) -> PlanNode:

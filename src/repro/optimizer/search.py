@@ -63,11 +63,6 @@ class SearchResult:
     front: List[PlanEvaluation] = field(default_factory=list)
     explored: int = 0
 
-    @property
-    def best_plan(self) -> CandidatePlan:
-        """The winning plan of the search."""
-        return self.best.plan
-
 
 class ExhaustiveSearch:
     """Enumerates every single-source-per-job plan (plus replications).

@@ -84,21 +84,6 @@ class NegotiatedPlan:
     outcomes: List[ContractNetOutcome] = field(default_factory=list)
     unserved_jobs: List[str] = field(default_factory=list)
 
-    @property
-    def total_price(self) -> float:
-        """Sum of contract totals across the plan."""
-        return sum(contract.total_price for contract in self.contracts)
-
-    @property
-    def providers(self) -> List[str]:
-        """Sorted distinct contracted providers."""
-        return sorted({contract.provider_id for contract in self.contracts})
-
-    @property
-    def fully_served(self) -> bool:
-        """Whether every decomposed job got a contract."""
-        return self.plan is not None and not self.unserved_jobs
-
 
 class TradingOptimizer:
     """Plans queries by running one contract-net auction per job.

@@ -2,14 +2,13 @@
 
 Public API:
 
-- :class:`UserProfile`, :func:`make_strategy`,
-  :data:`NEGOTIATION_STYLES`, :data:`INTERACTION_MODES`.
+- :class:`UserProfile`, :data:`NEGOTIATION_STYLES`, :data:`INTERACTION_MODES`.
 - :class:`ProfileLearner`, :class:`InteractionEvent`,
   :data:`ACTION_WEIGHTS`.
 - :class:`ProfileStore`.
 - :class:`LocalProfile`, :func:`integrate_profiles`,
   :func:`integrated_profile`, :class:`IntegrationReport`.
-- :class:`PersonalizedRanker`, :func:`generic_ranking`.
+- :class:`PersonalizedRanker`.
 """
 
 from repro.personalization.behavior import (
@@ -34,9 +33,8 @@ from repro.personalization.profile import (
     INTERACTION_MODES,
     NEGOTIATION_STYLES,
     UserProfile,
-    make_strategy,
 )
-from repro.personalization.ranking import PersonalizedRanker, generic_ranking
+from repro.personalization.ranking import PersonalizedRanker
 from repro.personalization.store import ProfileStore
 
 __all__ = [
@@ -54,9 +52,7 @@ __all__ = [
     "UserProfile",
     "classify_negotiation_style",
     "fit_concession_exponent",
-    "generic_ranking",
     "trace_from_strategy",
     "integrate_profiles",
     "integrated_profile",
-    "make_strategy",
 ]

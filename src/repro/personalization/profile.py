@@ -8,7 +8,7 @@ therefore carries:
 - topic interests (a vector in the shared concept space),
 - QoS trade-off weights (query-time vs result-quality preference),
 - a risk attitude (§2's choice under uncertainty),
-- a negotiation style (mapped to a concession strategy),
+- a negotiation style,
 - interaction-mode preferences (query vs browse vs feed, §9).
 """
 
@@ -19,36 +19,11 @@ from typing import Dict
 
 import numpy as np
 
-from repro.negotiation.strategies import (
-    ConcessionStrategy,
-    FirmStrategy,
-    TitForTatStrategy,
-    boulware,
-    conceder,
-    linear,
-)
 from repro.qos.vector import QoSWeights
 from repro.uncertainty.risk import RiskProfile, risk_neutral
 
 NEGOTIATION_STYLES = ("boulware", "conceder", "linear", "tit-for-tat", "firm")
 INTERACTION_MODES = ("query", "browse", "feed")
-
-
-def make_strategy(style: str) -> ConcessionStrategy:
-    """Map a profile's negotiation style to a concession strategy."""
-    factories = {
-        "boulware": boulware,
-        "conceder": conceder,
-        "linear": linear,
-        "tit-for-tat": TitForTatStrategy,
-        "firm": FirmStrategy,
-    }
-    try:
-        return factories[style]()
-    except KeyError:
-        raise ValueError(
-            f"unknown negotiation style {style!r}; known: {NEGOTIATION_STYLES}"
-        ) from None
 
 
 @dataclass
@@ -120,10 +95,6 @@ class UserProfile:
         if norm_a == 0 or norm_b == 0:
             return 0.0
         return float(np.clip(np.dot(self.interests, concept) / (norm_a * norm_b), 0.0, 1.0))
-
-    def strategy(self) -> ConcessionStrategy:
-        """The concession strategy matching the profile's style."""
-        return make_strategy(self.negotiation_style)
 
     def similarity(self, other: "UserProfile") -> float:
         """Interest-vector similarity to another profile, in [0, 1]."""

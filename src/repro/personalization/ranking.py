@@ -62,8 +62,3 @@ class PersonalizedRanker:
     def rerank_items(self, results: UncertainResultSet) -> List[InformationItem]:
         """Items of :meth:`rerank`."""
         return [match.item for match in self.rerank(results)]
-
-
-def generic_ranking(results: UncertainResultSet) -> List[InformationItem]:
-    """The non-personalized baseline: order by calibrated probability."""
-    return results.items()

@@ -1,47 +1,27 @@
-"""Profile storage and indexing.
+"""Profile storage.
 
 "Storage and indexing of profiles, as well as selection and retrieval of
 the appropriate profile parts in each case, are technical problems that
-require solutions also" (§5).  The store keeps profiles keyed by user and
-maintains an inverted index from dominant topics to users, so affinity
-candidates can be found without scanning everyone.
+require solutions also" (§5).  The store keeps profiles keyed by user.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from repro.personalization.profile import UserProfile
 
 
 class ProfileStore:
-    """In-memory profile database with a topic index.
+    """In-memory profile database."""
 
-    Parameters
-    ----------
-    index_top_n:
-        Each profile is indexed under its ``index_top_n`` strongest topics.
-    """
-
-    def __init__(self, index_top_n: int = 3):
-        if index_top_n < 1:
-            raise ValueError("index_top_n must be >= 1")
-        self.index_top_n = index_top_n
+    def __init__(self) -> None:
         self._profiles: Dict[str, UserProfile] = {}
-        self._topic_index: Dict[int, Set[str]] = defaultdict(set)
 
     # ------------------------------------------------------------------
     def save(self, profile: UserProfile) -> None:
-        """Insert or replace a profile (re-indexes it)."""
-        existing = self._profiles.get(profile.user_id)
-        if existing is not None:
-            self._unindex(existing)
+        """Insert or replace a profile."""
         self._profiles[profile.user_id] = profile
-        for topic_index in self._top_topics(profile):
-            self._topic_index[topic_index].add(profile.user_id)
 
     def load(self, user_id: str) -> UserProfile:
         """Return the stored profile or raise ``KeyError``."""
@@ -49,16 +29,6 @@ class ProfileStore:
             return self._profiles[user_id]
         except KeyError:
             raise KeyError(f"no profile stored for {user_id!r}") from None
-
-    def get(self, user_id: str) -> Optional[UserProfile]:
-        """Return the stored profile or ``None``."""
-        return self._profiles.get(user_id)
-
-    def delete(self, user_id: str) -> None:
-        """Remove a profile and its index entries (idempotent)."""
-        profile = self._profiles.pop(user_id, None)
-        if profile is not None:
-            self._unindex(profile)
 
     def __len__(self) -> int:
         return len(self._profiles)
@@ -69,40 +39,3 @@ class ProfileStore:
     def user_ids(self) -> List[str]:
         """Sorted ids of stored profiles."""
         return sorted(self._profiles)
-
-    # ------------------------------------------------------------------
-    def _top_topics(self, profile: UserProfile) -> List[int]:
-        order = np.argsort(-profile.interests, kind="stable")
-        return [int(i) for i in order[: self.index_top_n]]
-
-    def _unindex(self, profile: UserProfile) -> None:
-        for users in self._topic_index.values():
-            users.discard(profile.user_id)
-
-    def candidates_by_topic(self, topic_index: int) -> List[str]:
-        """Users indexed under a topic."""
-        return sorted(self._topic_index.get(topic_index, set()))
-
-    def find_similar(
-        self, profile: UserProfile, k: int = 5, exclude_self: bool = True
-    ) -> List[Tuple[str, float]]:
-        """The ``k`` most interest-similar stored profiles.
-
-        Uses the topic index to pre-filter candidates, then ranks by
-        exact cosine similarity.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        candidate_ids: Set[str] = set()
-        for topic_index in self._top_topics(profile):
-            candidate_ids.update(self._topic_index.get(topic_index, set()))
-        if not candidate_ids:
-            candidate_ids = set(self._profiles)
-        if exclude_self:
-            candidate_ids.discard(profile.user_id)
-        scored = [
-            (user_id, profile.similarity(self._profiles[user_id]))
-            for user_id in sorted(candidate_ids)
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]

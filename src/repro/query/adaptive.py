@@ -3,9 +3,9 @@
 §2 notes that uncertainty in the processing environment "is partially
 overcome through dynamic or parametric query optimization".  The
 :class:`AdaptiveExecutor` embodies the dynamic flavour: when a contracted
-source declines at execution time (down, overloaded, or blacklisting the
-consumer), the affected job is immediately re-assigned to the next-best
-fallback source and the plan re-runs, up to a retry budget.
+source declines at execution time (down or overloaded), the affected job
+is immediately re-assigned to the next-best fallback source and the plan
+re-runs, up to a retry budget.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ and ``TopK``.  The optimizer (:mod:`repro.optimizer`) chooses the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.query.model import Subquery
 
@@ -28,18 +28,6 @@ class PlanNode:
     def _collect_leaves(self, accumulator: List["Retrieve"]) -> None:
         for child in self.children:
             child._collect_leaves(accumulator)
-
-    def walk(self) -> Iterator["PlanNode"]:
-        """Pre-order traversal."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def depth(self) -> int:
-        """Height of the plan tree."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
 
 
 @dataclass

@@ -55,7 +55,7 @@ class ExecutionContext:
     now:
         Virtual time of execution.
     consumer_id:
-        Who is asking (sources may blacklist or decline).
+        Who is asking (sources may decline).
     latency:
         Network round-trip time to a source's node; default 0.
     trust:
@@ -103,11 +103,6 @@ class ExecutionResult:
     resilience_events: Dict[str, float] = field(default_factory=dict)
     #: hedges/failovers issued during this execution
     hedge_outcomes: List[HedgeOutcome] = field(default_factory=list)
-
-    @property
-    def sources_used(self) -> List[str]:
-        """Sorted sources that actually answered."""
-        return sorted({a.source_id for a in self.answers if not a.declined})
 
 
 class QueryExecutor:

@@ -145,11 +145,6 @@ class Subquery:
         """Result count inherited from the parent query."""
         return self.parent.k
 
-    @property
-    def threshold(self) -> float:
-        """Confidence threshold inherited from the parent query."""
-        return self.parent.threshold
-
     def evidence_item(self) -> InformationItem:
         """The parent query's evidence item."""
         return self.parent.evidence_item()

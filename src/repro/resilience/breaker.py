@@ -16,13 +16,12 @@ from the :class:`repro.qos.monitor.ContractMonitor` (via
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.resilience.policy import BreakerPolicy
 from repro.sim.trace import TraceRecorder
 
 NowFn = Callable[[], float]
-TransitionListener = Callable[[str, "BreakerState", "BreakerState"], None]
 
 
 class BreakerState(enum.Enum):
@@ -52,7 +51,6 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._probe_successes = 0
         self._opened_at = 0.0
-        self._transitions: List[Tuple[float, BreakerState]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -60,11 +58,6 @@ class CircuitBreaker:
         """Current state (after lazy OPEN → HALF_OPEN promotion)."""
         self._maybe_half_open()
         return self._state
-
-    @property
-    def transitions(self) -> List[Tuple[float, BreakerState]]:
-        """Timestamped state changes so far (for tests and traces)."""
-        return list(self._transitions)
 
     def allow(self) -> bool:
         """Whether a request may be sent to the guarded source now."""
@@ -102,7 +95,6 @@ class CircuitBreaker:
         if new_state is self._state:
             return
         self._state = new_state
-        self._transitions.append((self._now(), new_state))
         if new_state is BreakerState.OPEN:
             self._opened_at = self._now()
             self._consecutive_failures = 0
@@ -133,7 +125,6 @@ class BreakerBoard:
         self._now = now_fn
         self._trace = trace
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._listeners: List[TransitionListener] = []
 
     # ------------------------------------------------------------------
     def breaker(self, source_id: str) -> CircuitBreaker:
@@ -145,14 +136,6 @@ class BreakerBoard:
     def allow(self, source_id: str) -> bool:
         """Whether requests to ``source_id`` are currently admitted."""
         return self.breaker(source_id).allow()
-
-    def state(self, source_id: str) -> BreakerState:
-        """Current state of ``source_id``'s breaker."""
-        return self.breaker(source_id).state
-
-    def on_transition(self, listener: TransitionListener) -> None:
-        """Register ``listener(source_id, old_state, new_state)``."""
-        self._listeners.append(listener)
 
     # ------------------------------------------------------------------
     def record_success(self, source_id: str) -> None:
@@ -175,25 +158,9 @@ class BreakerBoard:
         else:
             breaker.record_failure()
         after = breaker.state
-        if before is not after:
-            for listener in self._listeners:
-                listener(source_id, before, after)
-            if self._trace is not None:
-                self._trace.count(f"resilience.breaker_{after.value}")
-                self._trace.record(
-                    self._now(), "resilience", "breaker_transition",
-                    payload={"source": source_id, "from": before.value,
-                             "to": after.value},
-                )
+        if before is not after and self._trace is not None:
+            self._trace.count(f"resilience.breaker_{after.value}")
 
     # ------------------------------------------------------------------
-    def open_sources(self) -> List[str]:
-        """Sorted ids of sources whose breaker is currently open."""
-        return sorted(
-            source_id
-            for source_id, breaker in self._breakers.items()
-            if breaker.state is BreakerState.OPEN
-        )
-
     def __len__(self) -> int:
         return len(self._breakers)

@@ -1,15 +1,9 @@
 """Deterministic, scriptable fault injection.
 
-A :class:`FaultScript` is plain data — a list of timed fault windows — and
-a :class:`FaultInjector` schedules each window as ordinary simulator
-events on top of the existing failure machinery:
-
-- ``outage``      → :meth:`NodeHealth.set_state` down at the window start,
-  up again at its end;
-- ``latency_spike`` → a synthetic load surcharge on the node, which raises
-  :meth:`LoadModel.service_slowdown` for the window;
-- ``flaky``       → a larger surcharge that pushes the node past capacity,
-  so :meth:`LoadModel.declines` fires with the requested probability.
+A :class:`FaultScript` is plain data — a list of timed outage windows —
+and a :class:`FaultInjector` schedules each window as ordinary simulator
+events on top of the existing failure machinery: :meth:`NodeHealth.set_state`
+down at the window start, up again at its end.
 
 Because every effect flows through the simulator's event queue and the
 seeded RNG streams, running the same script twice with the same seed
@@ -19,39 +13,25 @@ recovery.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.net.failures import LoadModel, NodeHealth
+from repro.net.failures import NodeHealth
 from repro.sim.kernel import Simulator
-
-FAULT_KINDS = ("outage", "latency_spike", "flaky")
-
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One fault window on one node.
+    """One outage window on one node."""
 
-    ``magnitude`` is kind-specific: unused for outages, the load surcharge
-    for latency spikes and flaky bursts (computed by the script helpers).
-    """
-
-    kind: str
     node: str
     start: float
     duration: float
-    magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"kind must be one of {FAULT_KINDS}")
         if self.start < 0:
             raise ValueError("start must be non-negative")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be non-negative")
 
     @property
     def end(self) -> float:
@@ -67,46 +47,8 @@ class FaultScript:
 
     def outage(self, node: str, start: float, duration: float) -> "FaultScript":
         """Take ``node`` down for ``[start, start + duration)``."""
-        self.events.append(FaultEvent("outage", node, start, duration))
+        self.events.append(FaultEvent(node, start, duration))
         return self
-
-    def latency_spike(
-        self, node: str, start: float, duration: float, slowdown: float = 2.0
-    ) -> "FaultScript":
-        """Multiply ``node``'s service time by ``slowdown`` for the window.
-
-        The surcharge is derived from the load model's slowdown law
-        ``1 + max(0, u - 0.5)``: a target multiplier maps back to the
-        utilisation that produces it.
-        """
-        if slowdown < 1.0:
-            raise ValueError("slowdown must be >= 1")
-        utilisation = (slowdown - 1.0) + 0.5
-        self.events.append(
-            FaultEvent("latency_spike", node, start, duration, magnitude=utilisation)
-        )
-        return self
-
-    def flaky(
-        self, node: str, start: float, duration: float,
-        decline_probability: float = 0.9,
-    ) -> "FaultScript":
-        """Make ``node`` decline new requests w.p. ~``decline_probability``.
-
-        Inverts the load model's logistic decline law to find the
-        utilisation that yields the requested probability.
-        """
-        if not 0.0 < decline_probability < 1.0:
-            raise ValueError("decline_probability must be in (0, 1)")
-        self.events.append(
-            FaultEvent("flaky", node, start, duration,
-                       magnitude=decline_probability)
-        )
-        return self
-
-    def horizon(self) -> float:
-        """Virtual time by which every window has closed."""
-        return max((event.end for event in self.events), default=0.0)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -115,15 +57,9 @@ class FaultScript:
 class FaultInjector:
     """Installs fault scripts onto a simulator's failure machinery."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        health: NodeHealth,
-        load: Optional[LoadModel] = None,
-    ):
+    def __init__(self, simulator: Simulator, health: NodeHealth):
         self._sim = simulator
         self._health = health
-        self._load = load
         self._outage_depth: Dict[str, int] = {}
         self.installed: List[FaultEvent] = []
 
@@ -137,38 +73,12 @@ class FaultInjector:
     def _install_event(self, event: FaultEvent) -> None:
         # Fail fast on unknown nodes: a KeyError surfacing later from
         # inside sim.run() would be far from the scripting mistake.
-        if event.kind == "outage":
-            if event.node not in self._health.nodes():
-                raise ValueError(f"outage on unknown node {event.node!r}")
-            self._schedule(event.start, lambda: self._begin_outage(event.node))
-            self._schedule(event.end, lambda: self._end_outage(event.node))
-        else:
-            if self._load is None:
-                raise ValueError(
-                    f"{event.kind} faults need a LoadModel to inject into"
-                )
-            if event.node not in self._load.nodes():
-                raise ValueError(f"{event.kind} on unknown node {event.node!r}")
-            surcharge = self._surcharge(event)
-            self._schedule(
-                event.start, lambda: self._begin_load(event.node, surcharge)
-            )
-            self._schedule(
-                event.end, lambda: self._load.end(event.node, surcharge)
-            )
+        if event.node not in self._health.nodes():
+            raise ValueError(f"outage on unknown node {event.node!r}")
+        self._schedule(event.start, lambda: self._begin_outage(event.node))
+        self._schedule(event.end, lambda: self._end_outage(event.node))
         self.installed.append(event)
-        self._sim.trace.count(f"faults.scheduled_{event.kind}")
-
-    def _surcharge(self, event: FaultEvent) -> float:
-        assert self._load is not None
-        capacity = self._load.spec.capacity
-        if event.kind == "latency_spike":
-            return event.magnitude * capacity
-        # flaky: invert the logistic decline law for the target probability
-        sharpness = max(self._load.spec.decline_sharpness, 1e-9)
-        probability = event.magnitude
-        utilisation = 1.0 + math.log(probability / (1.0 - probability)) / sharpness
-        return max(0.0, utilisation) * capacity
+        self._sim.trace.count("faults.scheduled_outage")
 
     # ------------------------------------------------------------------
     def _schedule(self, time: float, action: Callable[[], object]) -> None:
@@ -189,8 +99,3 @@ class FaultInjector:
         if depth == 0:
             self._health.set_state(node, True)
             self._sim.trace.count("faults.outage_transitions")
-
-    def _begin_load(self, node: str, surcharge: float) -> None:
-        assert self._load is not None
-        self._load.begin(node, surcharge)
-        self._sim.trace.count("faults.load_surcharges")

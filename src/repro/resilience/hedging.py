@@ -31,11 +31,6 @@ class HedgeOutcome:
     alternate_elapsed: float
     winner: str
 
-    @property
-    def hedge_won(self) -> bool:
-        """Whether the duplicate beat (or replaced) the primary."""
-        return self.winner == self.alternate
-
 
 class HedgeSelector:
     """Chooses alternate sources for a subquery.
@@ -72,10 +67,3 @@ class HedgeSelector:
             )
             ranked.append((claimed_time, source_id))
         return [source_id for __, source_id in sorted(ranked)]
-
-    def best_alternate(
-        self, subquery: "Subquery", exclude: Iterable[str] = ()
-    ) -> Optional[str]:
-        """The single best alternate, or ``None`` when nobody else covers."""
-        candidates = self.alternates(subquery, exclude)
-        return candidates[0] if candidates else None

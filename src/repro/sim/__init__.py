@@ -5,13 +5,13 @@ Public API:
 - :class:`Simulator` — the event loop with a virtual clock.
 - :class:`Event`, :class:`EventQueue` — scheduled callbacks.
 - :class:`RngStreams`, :class:`ScopedStreams` — deterministic named RNG streams.
-- :class:`TraceRecorder` — counters, timers and event records.
+- :class:`TraceRecorder` — counters and observations.
 """
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RngStreams, ScopedStreams, derive_seed
-from repro.sim.trace import TimerStats, TraceRecord, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Event",
@@ -20,8 +20,6 @@ __all__ = [
     "ScopedStreams",
     "SimulationError",
     "Simulator",
-    "TimerStats",
-    "TraceRecord",
     "TraceRecorder",
     "derive_seed",
 ]

@@ -41,12 +41,7 @@ class Event:
     seq: int
     action: Callable[[], Any] = field(compare=False)
     tag: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
     span_id: Optional[int] = field(default=None, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it when popped."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -79,23 +74,15 @@ class EventQueue:
         return event
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the next non-cancelled event, or ``None``."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
+        """Remove and return the next event, or ``None``."""
+        return heapq.heappop(self._heap) if self._heap else None
 
     def peek_time(self) -> Optional[float]:
-        """Return the fire time of the next live event without popping."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        """Return the fire time of the next event without popping."""
+        return self._heap[0].time if self._heap else None
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return len(self._heap)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

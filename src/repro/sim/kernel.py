@@ -224,15 +224,6 @@ class Simulator:
         self._processed += processed
         return processed
 
-    def step(self) -> bool:
-        """Process a single event; return ``False`` when the queue is empty."""
-        return self.run(max_events=1) == 1
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events in the queue."""
-        return len(self._queue)
-
     @property
     def processed(self) -> int:
         """Total number of events processed over the simulator's lifetime."""
@@ -240,6 +231,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self.now:.3f}, pending={self.pending}, "
+            f"Simulator(now={self.now:.3f}, pending={len(self._queue)}, "
             f"processed={self._processed})"
         )

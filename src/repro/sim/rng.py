@@ -31,7 +31,7 @@ True
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterator, cast
+from typing import Any, Dict, cast
 
 import numpy as np
 
@@ -84,11 +84,6 @@ class CountingGenerator:
         self._generator = generator
         self._owner = owner
         self._name = name
-
-    @property
-    def raw(self) -> np.random.Generator:
-        """The unwrapped underlying generator (escape hatch)."""
-        return self._generator
 
     def __getattr__(self, attr: str) -> Any:
         value = getattr(self._generator, attr)
@@ -155,14 +150,6 @@ class RngStreams:
             ),
         )
 
-    def names(self) -> Iterator[str]:
-        """Iterate over the names of retained streams (sorted).
-
-        Streams handed out by :meth:`fresh` are not retained and not
-        listed; their draws still show in :meth:`draw_counts`.
-        """
-        return iter(sorted(self._streams))
-
     def spawn(self, prefix: str) -> "ScopedStreams":
         """Return a view that prefixes every stream name with ``prefix``."""
         return ScopedStreams(self, prefix)
@@ -185,17 +172,6 @@ class RngStreams:
         """
         return {name: self._draw_counts[name] for name in sorted(self._draw_counts)}
 
-    def reset(self) -> None:
-        """Drop every stream and zero all draw accounting.
-
-        After a reset the registry behaves exactly like a freshly
-        constructed ``RngStreams(seed)``: the same stream names replay
-        the same bitstreams from the start.
-        """
-        self._streams.clear()
-        self._draw_counts.clear()
-        self._draw_total = 0
-
     def __repr__(self) -> str:
         return f"RngStreams(seed={self.seed}, streams={len(self._streams)})"
 
@@ -211,11 +187,6 @@ class ScopedStreams:
         self._parent = parent
         self._prefix = prefix
 
-    @property
-    def seed(self) -> int:
-        """The root seed of the underlying registry."""
-        return self._parent.seed
-
     def stream(self, name: str) -> np.random.Generator:
         """The named generator (prefix applied)."""
         return self._parent.stream(f"{self._prefix}.{name}")
@@ -227,19 +198,6 @@ class ScopedStreams:
     def spawn(self, prefix: str) -> "ScopedStreams":
         """A nested scope with an extended prefix."""
         return ScopedStreams(self._parent, f"{self._prefix}.{prefix}")
-
-    def draw_counts(self) -> Dict[str, int]:
-        """Draw counts of the streams under this scope's prefix.
-
-        Keys keep their full (prefixed) names so they line up with
-        :meth:`RngStreams.draw_counts` and flight-recorder checkpoints.
-        """
-        prefix = f"{self._prefix}."
-        return {
-            name: count
-            for name, count in self._parent.draw_counts().items()
-            if name.startswith(prefix)
-        }
 
     def __repr__(self) -> str:
         return f"ScopedStreams(prefix={self._prefix!r}, seed={self.seed})"

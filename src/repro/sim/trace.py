@@ -1,101 +1,35 @@
-"""Trace recording: counters, timers and timestamped event logs.
+"""Trace recording: counters and observations.
 
 The :class:`TraceRecorder` is the lightweight facade components write
-through — experiments create one per run and read the aggregates
-afterwards.  Since the observability layer landed, the recorder is a
-*view* over a :class:`repro.obs.metrics.MetricsRegistry`: ``count()``
-lands in a registry counter and ``observe()`` in a registry histogram,
-so everything recorded here also shows up in metric snapshots, run
-manifests and dashboards.  Timestamped records stay local to the
-recorder (they are the free-form event log; spans are the structured
-one).
+through.  It is a *view* over a :class:`repro.obs.metrics.MetricsRegistry`:
+``count()`` lands in a registry counter and ``observe()`` in a registry
+histogram, so everything recorded here also shows up in metric
+snapshots, run manifests and dashboards.
 
-Read-side purity: every read accessor (``counter``, ``timer``,
-``timers``, ``summary``) is non-mutating — looking up a name that was
-never written does not create an entry, so snapshots contain only
-metrics that were actually observed.
+Read-side purity: ``counter`` and ``counters`` are non-mutating — looking
+up a name that was never written does not create an entry, so snapshots
+contain only metrics that were actually observed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.obs.metrics import Histogram, MetricsRegistry
-
-
-@dataclass
-class TraceRecord:
-    """A single timestamped trace entry."""
-
-    time: float
-    category: str
-    label: str
-    payload: Any = None
-
-
-@dataclass
-class TimerStats:
-    """Aggregate statistics for a named timer.
-
-    ``TraceRecorder.timer()`` returns these as immutable-by-convention
-    *snapshots* of the backing histogram; folding observations into a
-    snapshot does not write back to the recorder.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the aggregate."""
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    @property
-    def mean(self) -> float:
-        """Mean of the observations (0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    @classmethod
-    def from_histogram(cls, histogram: Histogram) -> "TimerStats":
-        """Snapshot a registry histogram into the legacy timer shape."""
-        return cls(
-            count=histogram.count,
-            total=histogram.total,
-            minimum=histogram.minimum,
-            maximum=histogram.maximum,
-        )
+from repro.obs.metrics import MetricsRegistry
 
 
 class TraceRecorder:
-    """Collects counters, timers and event records for one simulation run.
+    """Collects counters and observations for one simulation run.
 
     Parameters
     ----------
-    keep_records:
-        Disable to skip the timestamped record log entirely.
-    max_records:
-        Cap on stored records; later records are dropped (and counted).
     metrics:
         Backing registry; a private one is created when omitted.  Pass a
         shared registry to fold several recorders into one snapshot.
     """
 
-    def __init__(
-        self,
-        keep_records: bool = True,
-        max_records: int = 100_000,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._records: List[TraceRecord] = []
-        self._keep_records = keep_records
-        self._max_records = max_records
-        self._dropped = 0
 
     # -- counters -------------------------------------------------------
     def count(self, name: str, amount: float = 1.0) -> None:
@@ -114,54 +48,3 @@ class TraceRecorder:
     def observe(self, name: str, value: float) -> None:
         """Record an observation for timer/metric ``name``."""
         self.metrics.histogram(name).observe(value)
-
-    def timer(self, name: str) -> TimerStats:
-        """Snapshot stats for timer ``name`` (reads never create entries)."""
-        histogram = self.metrics.histogram_or_none(name)
-        if histogram is None:
-            return TimerStats()
-        return TimerStats.from_histogram(histogram)
-
-    def timers(self) -> Dict[str, TimerStats]:
-        """Snapshot of all *observed* timers."""
-        return {
-            name: TimerStats.from_histogram(histogram)
-            for name, histogram in self.metrics.histograms().items()
-        }
-
-    # -- records ----------------------------------------------------------
-    def record(self, time: float, category: str, label: str, payload: Any = None) -> None:
-        """Append a timestamped record (subject to the record cap)."""
-        if not self._keep_records:
-            return
-        if len(self._records) >= self._max_records:
-            self._dropped += 1
-            return
-        self._records.append(TraceRecord(time, category, label, payload))
-
-    def records(self, category: Optional[str] = None) -> List[TraceRecord]:
-        """Return records, optionally filtered by ``category``."""
-        if category is None:
-            return list(self._records)
-        return [r for r in self._records if r.category == category]
-
-    @property
-    def dropped_records(self) -> int:
-        """Records dropped after the cap was hit."""
-        return self._dropped
-
-    def summary(self) -> Dict[str, Any]:
-        """Return a compact dictionary summary (counters + timer means).
-
-        Pure: summarising never creates entries, so only counters that
-        were incremented and timers that were observed appear.
-        """
-        return {
-            "counters": self.counters(),
-            "timers": {
-                name: {"count": ts.count, "mean": ts.mean, "min": ts.minimum, "max": ts.maximum}
-                for name, ts in self.timers().items()
-            },
-            "records": len(self._records),
-            "dropped": self._dropped,
-        }

@@ -6,11 +6,11 @@ Public API:
 - :class:`PrivacyPolicy`, :class:`PrivacyRegistry`, :class:`Visibility`,
   :data:`PROFILE_PARTS` — access control on profile parts.
 - :func:`affinity`, :class:`AffinityIndex`, :class:`AffineNeighbour`.
-- :class:`SocialRanker`, :func:`learn_from_peer_queries`.
+- :class:`SocialRanker`.
 """
 
 from repro.social.affinity import AffineNeighbour, AffinityIndex, affinity
-from repro.social.fusion import SocialRanker, learn_from_peer_queries
+from repro.social.fusion import SocialRanker
 from repro.social.graph import SocialGraph
 from repro.social.privacy import (
     PROFILE_PARTS,
@@ -32,5 +32,4 @@ __all__ = [
     "TrustOpinion",
     "Visibility",
     "affinity",
-    "learn_from_peer_queries",
 ]

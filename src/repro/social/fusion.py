@@ -21,7 +21,6 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from repro.data.items import InformationItem
-from repro.personalization.learning import InteractionEvent, ProfileLearner
 from repro.personalization.ranking import PersonalizedRanker
 from repro.social.affinity import AffineNeighbour
 from repro.uncertainty.results import UncertainMatch, UncertainResultSet
@@ -86,26 +85,3 @@ class SocialRanker:
     def rerank_items(self, results: UncertainResultSet) -> List[InformationItem]:
         """Items of :meth:`rerank`."""
         return [match.item for match in self.rerank(results)]
-
-
-def learn_from_peer_queries(
-    learner: ProfileLearner,
-    observer_id: str,
-    peer_evidence_items: Sequence[InformationItem],
-    weight_action: str = "click",
-) -> int:
-    """Fold visible peer-query evidence into the observer's profile.
-
-    ``peer_evidence_items`` are the evidence items of queries the observer
-    was allowed to see (privacy already enforced upstream).  Each becomes a
-    weak interest signal.  Returns the number of events applied.
-    """
-    count = 0
-    for item in peer_evidence_items:
-        learner.observe(
-            InteractionEvent(
-                user_id=observer_id, item=item, action=weight_action, mode="query",
-            )
-        )
-        count += 1
-    return count

@@ -7,8 +7,6 @@ privacy checks ("friends-only" profile parts).
 
 from __future__ import annotations
 
-from typing import List
-
 import networkx as nx
 
 
@@ -19,10 +17,6 @@ class SocialGraph:
         self._graph = nx.Graph()
 
     # ------------------------------------------------------------------
-    def add_user(self, user_id: str) -> None:
-        """Ensure ``user_id`` exists as an isolated node."""
-        self._graph.add_node(user_id)
-
     def befriend(self, a: str, b: str, strength: float = 1.0) -> None:
         """Create (or update) a tie; ``strength`` in (0, 1]."""
         if a == b:
@@ -32,31 +26,10 @@ class SocialGraph:
         # Stronger ties mean *shorter* social distance.
         self._graph.add_edge(a, b, strength=strength, distance=1.0 / strength)
 
-    def unfriend(self, a: str, b: str) -> None:
-        """Remove the tie between ``a`` and ``b`` if present."""
-        if self._graph.has_edge(a, b):
-            self._graph.remove_edge(a, b)
-
     # ------------------------------------------------------------------
-    def users(self) -> List[str]:
-        """Sorted user ids in the graph."""
-        return sorted(self._graph.nodes)
-
-    def friends(self, user_id: str) -> List[str]:
-        """Sorted direct friends of ``user_id``."""
-        if user_id not in self._graph:
-            return []
-        return sorted(self._graph.neighbors(user_id))
-
     def are_friends(self, a: str, b: str) -> bool:
         """Whether a direct tie joins ``a`` and ``b``."""
         return self._graph.has_edge(a, b)
-
-    def tie_strength(self, a: str, b: str) -> float:
-        """Direct tie strength, 0 when not friends."""
-        if not self._graph.has_edge(a, b):
-            return 0.0
-        return self._graph.edges[a, b]["strength"]
 
     def distance(self, a: str, b: str) -> float:
         """Weighted social distance; inf when disconnected."""
@@ -75,15 +48,6 @@ class SocialGraph:
         if d == float("inf"):
             return 0.0
         return 1.0 / (1.0 + d)
-
-    def within_hops(self, user_id: str, hops: int) -> List[str]:
-        """Users reachable within ``hops`` unweighted steps (excl. self)."""
-        if hops < 0:
-            raise ValueError("hops must be non-negative")
-        if user_id not in self._graph:
-            return []
-        lengths = nx.single_source_shortest_path_length(self._graph, user_id, cutoff=hops)
-        return sorted(u for u in lengths if u != user_id)
 
     def __len__(self) -> int:
         return self._graph.number_of_nodes()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from repro.social.graph import SocialGraph
 
@@ -86,13 +86,3 @@ class PrivacyRegistry:
     def can_see(self, viewer_id: str, owner_id: str, part: str) -> bool:
         """Whether ``viewer_id`` may read ``part`` of ``owner_id``."""
         return self.policy(owner_id).allows(part, viewer_id, self.graph)
-
-    def visible_users(
-        self, viewer_id: str, part: str, candidates: Iterable[str]
-    ) -> List[str]:
-        """The subset of ``candidates`` whose ``part`` the viewer may read."""
-        return sorted(
-            owner_id
-            for owner_id in candidates
-            if self.can_see(viewer_id, owner_id, part)
-        )

@@ -91,10 +91,3 @@ class SocialTrustView:
         if total <= 0:
             return 0.5
         return (own_evidence * own_score + social_mass * social_score) / total
-
-    def informed_sources(self) -> List[str]:
-        """Sources anyone in the view has evidence about."""
-        known = set(self.own.known_subjects())
-        for system in self._systems.values():
-            known.update(system.known_subjects())
-        return sorted(known)

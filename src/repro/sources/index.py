@@ -89,11 +89,6 @@ class CollectionIndex:
         """Total number of indexed items in the bucket (visible or not)."""
         return len(self._buckets.get(domain, []))
 
-    @property
-    def size(self) -> int:
-        """Total number of indexed items."""
-        return len(self._buckets[self.ALL])
-
     # ------------------------------------------------------------------
     # Cache-coherence protocol
     # ------------------------------------------------------------------

@@ -26,17 +26,13 @@ class SourceDescriptor:
     advertised_at: float = 0.0
     trust_class: str = "ordinary"
 
-    def covers(self, domain: str) -> bool:
-        """Whether the descriptor advertises ``domain``."""
-        return domain in self.domains
-
 
 class SourceRegistry:
     """Directory of advertised source descriptors.
 
-    The registry stores whatever sources last advertised; :meth:`refresh`
-    re-advertises (snapshotting current claims).  Lookups never consult
-    the actual source objects, preserving the advertised/actual gap.
+    The registry stores what each source advertised when it registered.
+    Lookups never consult the actual source objects, preserving the
+    advertised/actual gap.
     """
 
     def __init__(self) -> None:
@@ -60,43 +56,13 @@ class SourceRegistry:
             advertised_at=now,
             trust_class=source.quality.trust_class,
         )
-        previous = self._descriptors.get(source.source_id)
-        if previous is not None:
-            self._unindex(previous)
         self._descriptors[source.source_id] = descriptor
         self._sources[source.source_id] = source
         for domain in descriptor.domains:
             self._by_domain.setdefault(domain, set()).add(descriptor.source_id)
         return descriptor
 
-    def _unindex(self, descriptor: SourceDescriptor) -> None:
-        for domain in descriptor.domains:
-            ids = self._by_domain.get(domain)
-            if ids is not None:
-                ids.discard(descriptor.source_id)
-                if not ids:
-                    del self._by_domain[domain]
-
-    def refresh(self, source_id: str, now: float) -> SourceDescriptor:
-        """Re-advertise one source (updates the stored snapshot)."""
-        source = self.source(source_id)
-        return self.register(source, now)
-
-    def deregister(self, source_id: str) -> None:
-        """Remove a source and its descriptor (idempotent)."""
-        descriptor = self._descriptors.pop(source_id, None)
-        if descriptor is not None:
-            self._unindex(descriptor)
-        self._sources.pop(source_id, None)
-
     # ------------------------------------------------------------------
-    def descriptor(self, source_id: str) -> SourceDescriptor:
-        """The stored advertisement of ``source_id``."""
-        try:
-            return self._descriptors[source_id]
-        except KeyError:
-            raise KeyError(f"unknown source {source_id!r}") from None
-
     def source(self, source_id: str) -> InformationSource:
         """The live source object (used to actually send it work)."""
         try:
@@ -108,14 +74,6 @@ class SourceRegistry:
         """Descriptors of sources advertising coverage of ``domain``."""
         ids = self._by_domain.get(domain, set())
         return [self._descriptors[source_id] for source_id in sorted(ids)]
-
-    def all_descriptors(self) -> List[SourceDescriptor]:
-        """Every stored descriptor, sorted by source id."""
-        return [self._descriptors[k] for k in sorted(self._descriptors)]
-
-    def all_sources(self) -> List[InformationSource]:
-        """Every live source object, sorted by id."""
-        return [self._sources[k] for k in sorted(self._sources)]
 
     def domains(self) -> List[str]:
         """All domains advertised by at least one source."""

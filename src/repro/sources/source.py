@@ -2,8 +2,8 @@
 
 Each source holds a collection, answers subqueries with its own matching
 machinery, and exhibits the paper's §2 pathologies: partial coverage,
-freshness lag, occasional wrong answers, load-dependent declines, and
-blacklists.  Sources also *advertise* their quality — optimistically, per
+freshness lag, occasional wrong answers and load-dependent declines.
+Sources also *advertise* their quality — optimistically, per
 their ``overpromise`` bias — which is exactly why consumers need SLAs,
 reputation and negotiation.
 """
@@ -13,15 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-
 from repro.data.items import InformationItem
 from repro.net.failures import LoadModel, NodeHealth
 from repro.qos.vector import QoSVector
 from repro.query.model import PruneHint, Subquery
 from repro.sim.rng import ScopedStreams
 from repro.sources.index import CollectionIndex
-from repro.trust.blacklist import Blacklist
-from repro.uncertainty.estimates import UncertainEstimate
 from repro.uncertainty.matching import CandidateBlock, MatchingEngine
 
 if TYPE_CHECKING:
@@ -80,11 +77,6 @@ class SourceAnswer:
     decline_reason: str = ""
     candidates_scanned: int = 0
 
-    @property
-    def size(self) -> int:
-        """Number of matches returned."""
-        return len(self.matches)
-
 
 class InformationSource:
     """One independent information system in the agora.
@@ -134,7 +126,6 @@ class InformationSource:
         self.load = load
         self.health = health
         self.metrics = metrics
-        self.blacklist = Blacklist(source_id)
         self._rng = streams.stream(f"source.{source_id}")
         self._index = CollectionIndex()
         # Prepared batch-scoring state per domain bucket; kept coherent
@@ -173,11 +164,6 @@ class InformationSource:
         """Items queryable at virtual time ``now``."""
         return self._index.visible_items(now, domain)
 
-    @property
-    def collection_size(self) -> int:
-        """Number of indexed (possibly not yet visible) items."""
-        return self._index.size
-
     def _count_cache(self, event: str) -> None:
         if self.metrics is not None:
             self.metrics.counter(f"source.block_cache.{event}").inc()
@@ -214,8 +200,6 @@ class InformationSource:
         """Whether the source will serve ``consumer_id`` right now."""
         if self.health is not None and not self.health.is_up(self.node_id):
             return False, "unavailable"
-        if self.blacklist.is_banned(consumer_id, now):
-            return False, "blacklisted"
         if self.load is not None and self.load.declines(self.node_id):
             return False, "overloaded"
         return True, ""
@@ -276,8 +260,6 @@ class InformationSource:
         else:
             matches.extend(ranked)
         service_time = self.STARTUP_TIME + self.PER_CANDIDATE_TIME * n_candidates
-        if self.load is not None:
-            service_time *= self.load.service_slowdown(self.node_id)
         return SourceAnswer(
             source_id=self.source_id,
             subquery_id=subquery.subquery_id,
@@ -302,14 +284,6 @@ class InformationSource:
             trust=1.0,  # trust is assigned by the consumer's reputation view
         )
 
-    def cost_estimate(self, subquery: Subquery, now: float) -> UncertainEstimate:
-        """Uncertain estimate of service time for ``subquery``."""
-        candidates = self._index.visible_count(now, domain=subquery.domain)
-        mean = self.STARTUP_TIME + self.PER_CANDIDATE_TIME * candidates
-        if self.load is not None:
-            mean *= self.load.service_slowdown(self.node_id)
-        return UncertainEstimate(mean=mean, std=0.3 * mean, low=0.0, high=4.0 * mean)
-
     def advertised_quality(self, now: float, domain: str) -> QoSVector:
         """What the source *claims* it delivers (optimism applied)."""
         truth = self.true_quality_vector(now, domain)
@@ -325,5 +299,5 @@ class InformationSource:
     def __repr__(self) -> str:
         return (
             f"InformationSource({self.source_id!r}, node={self.node_id!r}, "
-            f"domains={self.domains}, items={self.collection_size})"
+            f"domains={self.domains})"
         )

@@ -9,7 +9,6 @@ machinery in :mod:`repro.multimodal.feeds` subscribes here).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List
 
 from repro.data.corpus import CorpusGenerator, DomainSpec
@@ -33,11 +32,6 @@ class UpdateStream:
     generator / spec:
         Corpus generator and the domain spec whose ``update_rate`` sets
         the arrival intensity (items per virtual time unit).
-    rate_multiplier:
-        Scales the domain's base rate (for burst experiments).  Must be
-        finite and > 0, and the scaled rate must stay finite: an infinite
-        rate would schedule every update at zero delay and never let the
-        simulator advance.
     """
 
     def __init__(
@@ -47,22 +41,12 @@ class UpdateStream:
         generator: CorpusGenerator,
         spec: DomainSpec,
         streams: ScopedStreams,
-        rate_multiplier: float = 1.0,
     ):
-        if not (math.isfinite(rate_multiplier) and rate_multiplier > 0):
-            raise ValueError(
-                f"rate_multiplier must be finite and > 0, got {rate_multiplier}"
-            )
-        rate = spec.update_rate * rate_multiplier
-        if not math.isfinite(rate):
-            raise ValueError(
-                f"update rate {spec.update_rate} x {rate_multiplier} overflows"
-            )
         self.sim = simulator
         self.source = source
         self.generator = generator
         self.spec = spec
-        self.rate = rate
+        self.rate = spec.update_rate
         self._rng = streams.stream(f"updates.{source.source_id}.{spec.name}")
         self._subscribers: List[Subscriber] = []
         self._running = False
@@ -80,17 +64,11 @@ class UpdateStream:
         self._running = True
         self._schedule_next()
 
-    def stop(self) -> None:
-        """Stop publishing (pending events become no-ops)."""
-        self._running = False
-
     # ------------------------------------------------------------------
     def _schedule_next(self) -> None:
         delay = float(self._rng.exponential(1.0 / self.rate))
 
         def publish() -> None:
-            if not self._running:
-                return
             item = self.generator.generate_item(self.spec, created_at=self.sim.now)
             self.source.ingest([item], now=self.sim.now)
             self.published += 1

@@ -4,15 +4,11 @@ Public API:
 
 - :class:`BetaReputation`, :class:`ReputationSystem` — beta reputation
   with exponential forgetting.
-- :class:`Blacklist`, :class:`BlacklistRegistry` — banned counterparties.
 """
 
-from repro.trust.blacklist import Blacklist, BlacklistRegistry
 from repro.trust.reputation import BetaReputation, ReputationSystem
 
 __all__ = [
     "BetaReputation",
-    "Blacklist",
-    "BlacklistRegistry",
     "ReputationSystem",
 ]

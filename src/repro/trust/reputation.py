@@ -48,16 +48,6 @@ class BetaReputation:
         """Effective number of observations behind the score."""
         return self.alpha + self.beta - 2.0
 
-    @property
-    def variance(self) -> float:
-        """Variance of the Beta posterior."""
-        total = self.alpha + self.beta
-        return (self.alpha * self.beta) / (total**2 * (total + 1.0))
-
-    def pessimistic_score(self, caution: float = 1.0) -> float:
-        """Score minus ``caution`` standard deviations (risk-averse view)."""
-        return max(0.0, self.score - caution * self.variance**0.5)
-
 
 class ReputationSystem:
     """Reputation scores for all providers in an agora."""
@@ -81,10 +71,6 @@ class ReputationSystem:
         """Current trust score; unknown subjects get the neutral prior."""
         return self._get(subject_id).score
 
-    def pessimistic_score(self, subject_id: str, caution: float = 1.0) -> float:
-        """Score minus ``caution`` standard deviations."""
-        return self._get(subject_id).pessimistic_score(caution)
-
     def evidence(self, subject_id: str) -> float:
         """Effective number of observations behind the score."""
         return self._get(subject_id).evidence
@@ -94,7 +80,3 @@ class ReputationSystem:
         ids = list(subject_ids) if subject_ids is not None else sorted(self._subjects)
         pairs = [(subject_id, self.score(subject_id)) for subject_id in ids]
         return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
-
-    def known_subjects(self) -> List[str]:
-        """Sorted ids of subjects with any record."""
-        return sorted(self._subjects)

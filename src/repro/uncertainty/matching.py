@@ -23,8 +23,8 @@ instead of once per pair, scores candidates through the einsum and
 term-column kernels of :mod:`repro.uncertainty.similarity`, and memoizes
 per-item derived state in bounded LRU caches.  The contract — enforced by
 property tests — is *exact* float parity: ``score_many(q, cs)[i]`` is
-bitwise equal to ``score(q, cs[i])``, so ``rank`` and ``rank_pairwise``
-return identical lists.
+bitwise equal to ``score(q, cs[i])``, so ``rank_block`` and
+``rank_pairwise`` return identical lists.
 """
 
 from __future__ import annotations
@@ -213,11 +213,6 @@ class ConceptLifter:
         self.ridge = ridge
         self._weights: Optional[np.ndarray] = None
         self._lifts = LruCache("concept_lifts", cache_size)
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether the media lift has been trained."""
-        return self._weights is not None
 
     def fit(self, sample: Sequence[MediaObject]) -> "ConceptLifter":
         """Fit the media lift on a labelled sample of media objects."""
@@ -622,7 +617,7 @@ class MatchingEngine:
     media/media → the configured feature set, anything involving a
     compound → part alignment, and mixed plain types → concept-space lift.
 
-    ``rank``/``score_many`` run the batched kernels; ``rank_pairwise``
+    ``rank_block``/``score_many`` run the batched kernels; ``rank_pairwise``
     retains the one-pair-at-a-time reference path the parity property
     tests compare against.
     """
@@ -678,12 +673,6 @@ class MatchingEngine:
         """
         return self.prepare(candidates).score(query)
 
-    def rank(
-        self, query: InformationItem, candidates: Sequence[InformationItem]
-    ) -> List[Tuple[InformationItem, float]]:
-        """Candidates with scores, best first (ties broken by item id)."""
-        return self.rank_block(query, self.prepare(candidates))
-
     def rank_block(
         self,
         query: InformationItem,
@@ -709,16 +698,30 @@ class MatchingEngine:
     ) -> List[Tuple[InformationItem, float]]:
         """The best ``k`` of :meth:`rank_block`, minus sub-floor entries.
 
-        One whole-prefix score and one sort: the result is
+        One whole-prefix score; the result is
         ``rank_block(query, block, limit)[:k]`` with entries under
         ``score_floor`` removed (the plan's ``Threshold`` would drop them
-        anyway).  Every call counts its candidates under
+        anyway).  When ``k < n`` only the candidates scoring at least the
+        k-th best score are sorted; ties at that score are all kept, so
+        the ``(-score, item_id)`` sort settles them exactly as the full
+        sort would.  Every call counts its candidates under
         ``matching.prune.*``, where scored always equals total.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
         n = len(block) if limit is None else min(limit, len(block))
-        top = self.rank_block(query, block, limit=n)[:k]
+        if k >= n:
+            top = self.rank_block(query, block, limit=n)
+        else:
+            self._observe_rank(n)
+            scores = block.score(query, limit=n)
+            kth = np.partition(scores, n - k)[n - k] if k else np.inf
+            keep = np.flatnonzero(scores >= kth)
+            items = block.items
+            top = sorted(
+                ((items[i], float(scores[i])) for i in keep),
+                key=lambda pair: (-pair[1], pair[0].item_id),
+            )[:k]
         if score_floor > 0.0:
             top = [(item, s) for item, s in top if s >= score_floor]
         if self._metrics is not None:

@@ -85,15 +85,6 @@ class RiskProfile:
         """The sure value this user finds equivalent to the lottery."""
         return self.inverse_utility(self.expected_utility(outcomes, probabilities))
 
-    def risk_premium(
-        self, outcomes: Sequence[float], probabilities: Sequence[float]
-    ) -> float:
-        """Expected value minus certainty equivalent (>= 0 iff averse)."""
-        outcomes_arr = np.asarray(outcomes, dtype=float)
-        probabilities_arr = np.asarray(probabilities, dtype=float)
-        expected = float(np.dot(outcomes_arr, probabilities_arr))
-        return expected - self.certainty_equivalent(outcomes, probabilities)
-
 
 def risk_averse(aversion: float = 4.0) -> RiskProfile:
     """A risk-averse profile (prefers sure things)."""

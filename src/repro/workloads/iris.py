@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-
 from repro.core.agora import Agora
 from repro.core.consumer import Consumer
 from repro.data.items import InformationItem
@@ -81,10 +80,6 @@ class IrisScenario:
     def save_to_base(self, user_id: str, item: InformationItem) -> None:
         """Store an item in a user's personal information base."""
         self.personal_base.setdefault(user_id, []).append(item)
-
-    def base_of(self, user_id: str) -> List[InformationItem]:
-        """Items saved in ``user_id``'s personal base."""
-        return list(self.personal_base.get(user_id, []))
 
 
 def build_iris_scenario(agora: Agora) -> IrisScenario:

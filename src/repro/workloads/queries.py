@@ -7,8 +7,7 @@ fixed topic (controlled sweeps).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
+from typing import Optional, Tuple
 
 from repro.data.corpus import CorpusGenerator, DomainSpec
 from repro.data.topics import TopicSpace
@@ -114,18 +113,3 @@ class QueryWorkloadGenerator:
             requirement=requirement if requirement is not None else QoSRequirement(),
             issuer_id=issuer_id,
         )
-
-    def mixed_workload(
-        self,
-        profiles: Sequence[UserProfile],
-        queries_per_user: int,
-        k: int = 10,
-    ) -> List[Query]:
-        """Interest queries for a whole population (round-robin order)."""
-        if queries_per_user < 0:
-            raise ValueError("queries_per_user must be non-negative")
-        workload: List[Query] = []
-        for __ in range(queries_per_user):
-            for profile in profiles:
-                workload.append(self.interest_query(profile, k=k))
-        return workload

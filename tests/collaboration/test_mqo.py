@@ -46,23 +46,6 @@ class TestJobKey:
 
 
 class TestSharing:
-    def test_analyse_counts_overlap(self, mqo_setup, topic_space, vocabulary):
-        registry, executor = mqo_setup
-        # Both members run the same goal query (identical terms, seed).
-        query = make_topic_query(topic_space, vocabulary, "folk-jewelry", seed=7)
-        plan_iris = standard_plan(
-            [Retrieve(query.restricted_to("museum"), "m1"),
-             Retrieve(query.restricted_to("museum"), "m2")], k=10,
-        )
-        plan_jason = standard_plan(
-            [Retrieve(query.restricted_to("museum"), "m1")], k=10,
-        )
-        report = executor.analyse({"iris": plan_iris, "jason": plan_jason})
-        assert report.total_jobs == 3
-        assert report.distinct_jobs == 2
-        assert report.jobs_saved == 1
-        assert report.savings_ratio == pytest.approx(1 / 3)
-
     def test_execute_shares_and_distributes(self, mqo_setup, topic_space, vocabulary):
         registry, executor = mqo_setup
         query = make_topic_query(topic_space, vocabulary, "folk-jewelry", seed=7, k=5)

@@ -50,21 +50,6 @@ class TestMembership:
             session.record_results("stranger", _results(["a"]))
 
 
-class TestThreads:
-    def test_start_and_continue_thread(self, session, topic_space, vocabulary):
-        q1 = make_topic_query(topic_space, vocabulary, "folk-jewelry")
-        thread = session.start_thread("iris", q1)
-        q2 = make_topic_query(topic_space, vocabulary, "auction-market")
-        session.continue_thread("jason", thread.thread_id, q2)
-        assert thread.taken_over_by == ["jason"]
-        assert len(thread.steps) == 2
-
-    def test_unknown_thread(self, session, topic_space, vocabulary):
-        query = make_topic_query(topic_space, vocabulary, "folk-jewelry")
-        with pytest.raises(KeyError):
-            session.continue_thread("iris", 999, query)
-
-
 class TestCoverage:
     def test_results_pool_in_workspace(self, session):
         session.record_results("iris", _results(["a", "b"]))

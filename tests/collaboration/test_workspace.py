@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.collaboration import ExplorationThread, SharedWorkspace, reset_thread_ids
+from repro.collaboration import ExplorationThread, SharedWorkspace
 from repro.data import InformationItem
 from repro.uncertainty import UncertainMatch
 
@@ -26,29 +26,28 @@ class TestWorkspace:
         workspace.contribute("iris", [_match("a", 0.5)], time=1.0)
         added = workspace.contribute("jason", [_match("a", 0.9)], time=2.0)
         assert added == 0
-        assert workspace.first_finder("a") == "iris"
+        (credited,) = workspace.contributions_by("iris")
+        assert workspace.contributions_by("jason") == []
         # Confidence upgraded to the better evidence.
-        assert workspace.matches().matches[0].probability == 0.9
+        assert credited.match.probability == 0.9
 
     def test_lower_confidence_duplicate_ignored(self):
         workspace = SharedWorkspace()
         workspace.contribute("iris", [_match("a", 0.9)])
         workspace.contribute("jason", [_match("a", 0.1)])
-        assert workspace.matches().matches[0].probability == 0.9
+        assert workspace.contributions()[0].match.probability == 0.9
 
     def test_contributions_by_user(self):
         workspace = SharedWorkspace()
         workspace.contribute("iris", [_match("a")])
         workspace.contribute("jason", [_match("b"), _match("c")])
         assert len(workspace.contributions_by("jason")) == 2
-        assert workspace.contributors() == ["iris", "jason"]
 
     def test_membership(self):
         workspace = SharedWorkspace()
         workspace.contribute("iris", [_match("a")])
         assert "a" in workspace
         assert "z" not in workspace
-        assert workspace.first_finder("z") is None
 
     def test_items_in_discovery_order(self):
         workspace = SharedWorkspace()
@@ -59,7 +58,6 @@ class TestWorkspace:
 
 class TestThreads:
     def test_thread_lineage(self, topic_space, vocabulary):
-        reset_thread_ids()
         thread = ExplorationThread(owner_id="iris")
         q1 = make_topic_query(topic_space, vocabulary, "folk-jewelry")
         q2 = make_topic_query(topic_space, vocabulary, "dance-forms")

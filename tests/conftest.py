@@ -126,6 +126,16 @@ def make_source(
     return source
 
 
+def peak_topic(topic_space, vector):
+    """Name of the dominant topic of ``vector``."""
+    return topic_space.names[int(np.argmax(vector))]
+
+
+def refuse(source):
+    """Make ``source`` decline every request from now on."""
+    source.accepts = lambda consumer_id, now: (False, "refused")
+
+
 def make_topic_query(topic_space, vocabulary, topic, k=10, seed=0, **kwargs):
     """Helper: a topic query with known latent intent."""
     rng = np.random.default_rng(seed)

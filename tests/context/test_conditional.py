@@ -44,16 +44,6 @@ class TestConditionalProfile:
         assert active.negotiation_style == "conceder"
         assert np.argmax(active.interests) == 1  # general overlay also applied
 
-    def test_matching_rules(self):
-        conditional = _conditional()
-        rules = conditional.matching_rules(Context(task="leisure", location="Paris"))
-        assert {r.name for r in rules} == {"leisure", "paris-leisure"}
-
-    def test_is_static(self):
-        base = UserProfile(user_id="x", interests=np.array([1.0]))
-        assert ConditionalProfile(base).is_static
-        assert not _conditional().is_static
-
     def test_base_never_mutated(self):
         conditional = _conditional()
         before = conditional.base.interests.copy()

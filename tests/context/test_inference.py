@@ -53,25 +53,6 @@ class TestInference:
         predicted = inferencer.infer(ActivityObservation("feed", "magazine"))
         assert predicted.task == "paper-writing"  # the dominant marginal
 
-    def test_accuracy_on_training_distribution(self):
-        inferencer = _train(ContextInferencer())
-        samples = [
-            (ActivityObservation("browse", "museum"),
-             Context(time_of_day="morning", task="project-start",
-                     previous_activity="browse")),
-            (ActivityObservation("query", "thesis"),
-             Context(time_of_day="evening", task="paper-writing",
-                     previous_activity="query")),
-        ]
-        assert inferencer.accuracy(samples) == 1.0
-
-    def test_accuracy_empty(self):
-        assert ContextInferencer().accuracy([]) == 0.0
-
-    def test_observation_count(self):
-        inferencer = _train(ContextInferencer())
-        assert inferencer.observations == 20
-
     def test_invalid_smoothing(self):
         with pytest.raises(ValueError):
             ContextInferencer(smoothing=0.0)

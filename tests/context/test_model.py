@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.context import Context, context_similarity
+from repro.context import Context
 
 
 class TestContext:
     def test_defaults_valid(self):
         context = Context()
-        assert context.alone
+        assert context.companions == ()
 
     def test_invalid_time(self):
         with pytest.raises(ValueError):
@@ -25,7 +25,6 @@ class TestContext:
     def test_companions_sorted(self):
         context = Context(companions=("zoe", "adam"))
         assert context.companions == ("adam", "zoe")
-        assert not context.alone
 
     def test_value_lookup(self):
         context = Context(location="Paris")
@@ -37,37 +36,3 @@ class TestContext:
         context = Context().with_(task="leisure")
         assert context.task == "leisure"
         assert Context().task != "leisure"
-
-    def test_as_dict(self):
-        d = Context().as_dict()
-        assert set(d) == {
-            "time_of_day", "location", "task", "companions", "previous_activity",
-        }
-
-
-class TestSimilarity:
-    def test_identical_contexts(self):
-        assert context_similarity(Context(), Context()) == 1.0
-
-    def test_completely_different(self):
-        a = Context(time_of_day="morning", location="office",
-                    task="paper-writing", companions=(), previous_activity="query")
-        b = Context(time_of_day="evening", location="home",
-                    task="leisure", companions=("jason",), previous_activity="browse")
-        assert context_similarity(a, b) == 0.0
-
-    def test_partial_overlap(self):
-        a = Context(task="leisure")
-        b = Context(task="paper-writing")
-        assert context_similarity(a, b) == pytest.approx(4 / 5)
-
-    def test_companion_overlap_graded(self):
-        a = Context(companions=("jason", "maria"))
-        b = Context(companions=("jason",))
-        similarity = context_similarity(a, b)
-        assert 4 / 5 < similarity < 1.0
-
-    def test_symmetric(self):
-        a = Context(task="leisure", location="Paris")
-        b = Context(time_of_day="evening")
-        assert context_similarity(a, b) == context_similarity(b, a)

@@ -22,6 +22,11 @@ def workload(agora):
     )
 
 
+def _settled(agora):
+    """Contracts the agora's monitor has settled so far."""
+    return sum(agora.monitor.ledger(source_id).contracts for source_id in agora.sources)
+
+
 def _profile(agora, user_id="iris", topic="folk-jewelry"):
     return UserProfile(
         user_id=user_id,
@@ -42,17 +47,17 @@ class TestAskTrading:
         assert len(result.settlements) == len(result.contracts)
 
     def test_contracts_settled_into_monitor(self, agora, workload):
-        before = agora.monitor.total_contracts
+        before = _settled(agora)
         consumer = Consumer(agora, _profile(agora, "buyer2"), planner="trading")
         query = workload.topic_query("dance-forms", k=5)
         result = consumer.ask(query)
-        assert agora.monitor.total_contracts == before + len(result.contracts)
+        assert _settled(agora) == before + len(result.contracts)
 
     def test_reputation_learned_from_outcomes(self, agora, workload):
         consumer = Consumer(agora, _profile(agora, "buyer3"), planner="trading")
         for __ in range(3):
             consumer.ask(workload.topic_query("folk-jewelry", k=5))
-        assert len(consumer.reputation.known_subjects()) > 0
+        assert len(consumer.reputation.ranked()) > 0
 
     def test_history_recorded(self, agora, workload):
         consumer = Consumer(agora, _profile(agora, "buyer4"))
@@ -64,6 +69,12 @@ class TestAskTrading:
         consumer = Consumer(agora, _profile(agora, "buyer5"))
         result = consumer.ask(workload.topic_query("folk-jewelry", k=5))
         assert 0.0 <= result.utility <= 1.0
+
+
+class TestPlannerChoice:
+    def test_unknown_planner_rejected(self, agora):
+        with pytest.raises(ValueError, match="planner"):
+            Consumer(agora, _profile(agora, "magician"), planner="magic")
 
 
 class TestAskSearchPlanners:

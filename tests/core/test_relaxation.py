@@ -34,8 +34,8 @@ class TestRelaxedRequirement:
         relaxed = requirement.relaxed(0.4)
         vector = QoSVector(response_time=4.9, completeness=0.81,
                            correctness=0.71, freshness=0.51, trust=0.41)
-        assert vector.meets(requirement)
-        assert vector.meets(relaxed)
+        assert not requirement.violated_dimensions(vector)
+        assert not relaxed.violated_dimensions(vector)
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):

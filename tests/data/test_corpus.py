@@ -128,11 +128,6 @@ class TestGeneration:
             mean_latent = np.mean([item.latent for item in items], axis=0)
             assert np.argmax(mean_latent) == topic_space.names.index(topic)
 
-    def test_generate_collection(self, corpus_generator):
-        collection = corpus_generator.generate_collection(iris_domains()[:2], 5)
-        assert set(collection) == {"museum", "auction"}
-        assert all(len(v) == 5 for v in collection.values())
-
     def test_created_at_propagates(self, corpus_generator):
         spec = iris_domains()[0]
         items = corpus_generator.generate(spec, 5, created_at=42.0)

@@ -36,7 +36,7 @@ LIVE_DRAW_COUNTS_SHA256 = (
 
 
 def _feed_item(digest, item: InformationItem) -> None:
-    digest.update(f"{item.item_id}|{item.item_type}|".encode())
+    digest.update(f"{item.item_id}|{type(item).__name__}|".encode())
     digest.update(np.ascontiguousarray(item.latent, dtype=float).tobytes())
     if isinstance(item, TextDocument):
         for term, count in item.terms.items():

@@ -33,7 +33,7 @@ class TestSpecs:
             FeatureSetSpec("bad", 4, fidelity=0.5, noise_scale=-0.1)
 
     def test_default_sets_present(self, extractor):
-        names = extractor.feature_set_names()
+        names = sorted(extractor.specs)
         assert "color_histogram" in names
         assert "content_metadata" in names
 
@@ -99,35 +99,3 @@ class TestExtraction:
     def test_extract_many_empty(self, extractor):
         matrix = extractor.extract_many([], "texture")
         assert matrix.shape == (0, extractor.spec("texture").dimensions)
-
-
-class TestCombined:
-    def test_combined_spec_dimensions(self, extractor):
-        spec = extractor.combined_spec(["color_histogram", "texture"], label="combo")
-        expected = (
-            extractor.spec("color_histogram").dimensions
-            + extractor.spec("texture").dimensions
-        )
-        assert spec.dimensions == expected
-
-    def test_combined_cost_sums(self, extractor):
-        spec = extractor.combined_spec(["color_histogram", "texture"], label="combo")
-        assert spec.cost == pytest.approx(
-            extractor.spec("color_histogram").cost + extractor.spec("texture").cost
-        )
-
-    def test_extract_combined(self, extractor):
-        extractor.combined_spec(["color_histogram", "shape"], label="combo")
-        rng = np.random.default_rng(0)
-        obj = _media("m1", rng.normal(size=16))
-        vector = extractor.extract_combined(obj, "combo")
-        assert vector.shape == (extractor.spec("combo").dimensions,)
-        assert np.linalg.norm(vector) == pytest.approx(1.0)
-
-    def test_extract_combined_unregistered(self, extractor):
-        with pytest.raises(KeyError):
-            extractor.extract_combined(_media("m", np.ones(16)), "nope")
-
-    def test_empty_combination_rejected(self, extractor):
-        with pytest.raises(ValueError):
-            extractor.combined_spec([], label="empty")

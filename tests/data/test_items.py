@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    CompoundObject,
-    InformationItem,
-    MediaObject,
-    TextDocument,
-    combined_latent,
-    item_census,
-    make_item_id,
-)
+from repro.data import CompoundObject, InformationItem, MediaObject, combined_latent, make_item_id
 
 
 def _item(item_id="i1", latent=None):
@@ -39,25 +31,9 @@ class TestBaseItem:
     def test_inequality(self):
         assert _item("a") != _item("b")
 
-    def test_item_type(self):
-        assert _item().item_type == "InformationItem"
-
     def test_make_item_id_unique(self):
         ids = {make_item_id("x") for __ in range(100)}
         assert len(ids) == 100
-
-
-class TestTextDocument:
-    def test_length(self):
-        doc = TextDocument(
-            item_id="t1", domain="thesis", latent=np.array([1.0]),
-            terms={"w1": 3, "w2": 2},
-        )
-        assert doc.length == 5
-
-    def test_type_name(self):
-        doc = TextDocument(item_id="t1", domain="d", latent=np.array([1.0]))
-        assert doc.item_type == "TextDocument"
 
 
 class TestCompoundObject:
@@ -99,15 +75,6 @@ class TestCompoundObject:
 
 
 class TestCensus:
-    def test_counts_by_type(self):
-        items = [
-            _item("a"),
-            TextDocument(item_id="t", domain="d", latent=np.array([1.0])),
-            TextDocument(item_id="t2", domain="d", latent=np.array([1.0])),
-        ]
-        census = item_census(items)
-        assert census == {"InformationItem": 1, "TextDocument": 2}
-
     def test_media_kind(self):
         media = MediaObject(
             item_id="m", domain="d", latent=np.array([1.0]),

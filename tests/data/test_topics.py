@@ -112,10 +112,6 @@ class TestSampling:
         draws = np.stack([space.sample(rng, prior=prior) for __ in range(200)])
         assert np.argmax(draws.mean(axis=0)) == 1
 
-    def test_peak_topic(self):
-        space = TopicSpace(3, names=["x", "y", "z"])
-        assert space.peak_topic(np.array([0.1, 0.7, 0.2])) == "y"
-
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 

@@ -54,18 +54,6 @@ class TestSampling:
         assert np.mean(same) > np.mean(different)
 
 
-class TestVectors:
-    def test_term_vector_roundtrip(self, vocab):
-        vector = vocab.term_vector({"w00003": 2, "w00007": 1})
-        assert vector[3] == 2
-        assert vector[7] == 1
-        assert vector.sum() == 3
-
-    def test_term_vector_ignores_unknown(self, vocab):
-        vector = vocab.term_vector({"nonsense": 5, "w99999": 2})
-        assert vector.sum() == 0
-
-
 class TestPosterior:
     def test_posterior_sums_to_one(self, vocab, space):
         rng = np.random.default_rng(0)

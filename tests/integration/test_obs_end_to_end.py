@@ -13,7 +13,7 @@ import pytest
 from repro.core import Consumer
 from repro.core.builder import build_agora
 from repro.data import DomainSpec, reset_item_ids
-from repro.net import LoadModel, LoadSpec, NodeHealth, reset_message_ids
+from repro.net import LoadModel, NodeHealth, reset_message_ids
 from repro.obs import SpanTracer, ancestors, descendants_of, diff_manifests, span_index
 from repro.personalization import UserProfile
 from repro.query import (
@@ -44,7 +44,7 @@ def stack(corpus_generator, matching_engine, streams, oracle):
     sim = Simulator(seed=5, tracer=tracer)
     nodes = ["node-m1", "node-m2"]
     health = NodeHealth(sim, nodes, sim.rng.spawn("h"), enabled=False)
-    load = LoadModel(nodes, sim.rng.spawn("l"), LoadSpec(capacity=10.0))
+    load = LoadModel(sim.rng.spawn("l"))
     registry = SourceRegistry()
     museum = DomainSpec(name="museum", topic_prior={"folk-jewelry": 1.0})
     shared = corpus_generator.generate(museum, 25)

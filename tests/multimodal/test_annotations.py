@@ -23,7 +23,7 @@ class TestAnnotations:
         assert isinstance(record.annotation, Annotation)
         assert record.annotation.author_id == "iris"
         assert record.annotation.target_item_id == target.item_id
-        assert record.standing_id is None  # no feed service attached
+        assert record.standing is None  # no feed service attached
 
     def test_annotation_inherits_target_latent(self, corpus_generator):
         service = AnnotationService()
@@ -38,8 +38,8 @@ class TestAnnotations:
         service = AnnotationService(feeds=feeds)
         target = _item(corpus_generator)
         record = service.annotate("iris", target)
-        assert record.standing_id is not None
-        standing = feeds.standing_query(record.standing_id)
+        standing = record.standing
+        assert standing is not None
         assert standing.owner_id == "iris"
         assert standing.comparison_items == [target]
 
@@ -50,7 +50,7 @@ class TestAnnotations:
         service.annotate("iris", target, comparison_threshold=0.3)
         similar = _item(corpus_generator, name="auction")
         feeds.on_new_item("auction-src", similar)
-        assert len(feeds.inbox("iris")) == 1
+        assert len(feeds.drain("iris")) == 1
 
     def test_extend_comparison(self, corpus_generator, matching_engine):
         feeds = FeedService(matching_engine)
@@ -59,8 +59,7 @@ class TestAnnotations:
         record = service.annotate("iris", target)
         extra = _item(corpus_generator, topic="dance-forms", name="dance")
         service.extend_comparison("iris", record, extra)
-        standing = feeds.standing_query(record.standing_id)
-        assert len(standing.comparison_items) == 2
+        assert len(record.standing.comparison_items) == 2
 
     def test_extend_requires_author(self, corpus_generator, matching_engine):
         feeds = FeedService(matching_engine)
@@ -74,12 +73,3 @@ class TestAnnotations:
         record = service.annotate("iris", _item(corpus_generator))
         with pytest.raises(ValueError):
             service.extend_comparison("iris", record, _item(corpus_generator))
-
-    def test_annotations_by_author(self, corpus_generator):
-        service = AnnotationService()
-        service.annotate("iris", _item(corpus_generator))
-        service.annotate("iris", _item(corpus_generator))
-        service.annotate("jason", _item(corpus_generator))
-        assert len(service.annotations_by("iris")) == 2
-        assert len(service.records_by("jason")) == 1
-        assert service.annotations_by("nobody") == []

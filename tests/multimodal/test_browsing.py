@@ -104,8 +104,3 @@ class TestBrowser:
         browser = _browser(graph, topic_space.basis("tourism"), streams.spawn("b7"))
         with pytest.raises(ValueError):
             browser.walk(-1)
-
-    def test_visited_items(self, graph, topic_space, streams):
-        browser = _browser(graph, topic_space.basis("tourism"), streams.spawn("b8"))
-        browser.walk(4)
-        assert len(browser.visited_items()) == 5

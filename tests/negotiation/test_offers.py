@@ -68,9 +68,3 @@ class TestIssueSpace:
         space = IssueSpace([Issue("a", 0, 1)])
         with pytest.raises(ValueError):
             space.blend({"a": 0.0}, {"a": 1.0}, weight=1.5)
-
-    def test_issue_lookup(self):
-        space = standard_qos_issue_space(max_price=50.0)
-        assert space.issue("price").high == 50.0
-        with pytest.raises(KeyError):
-            space.issue("nope")

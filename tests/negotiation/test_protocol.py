@@ -70,14 +70,6 @@ class TestProtocol:
         )
         assert len(outcome.transcript) == outcome.rounds
 
-    def test_nash_product(self):
-        outcome = AlternatingOffersProtocol(max_rounds=40).run(
-            _buyer(linear()), _seller(linear())
-        )
-        assert outcome.nash_product == pytest.approx(
-            outcome.buyer_utility * outcome.seller_utility
-        )
-
     def test_deal_is_valid_offer(self):
         outcome = AlternatingOffersProtocol(max_rounds=40).run(
             _buyer(conceder()), _seller(conceder())

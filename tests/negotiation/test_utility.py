@@ -74,11 +74,6 @@ class TestAdditiveUtility:
 
 
 class TestPreferences:
-    def test_acceptable(self):
-        prefs = NegotiationPreferences(buyer_utility(SPACE), reservation=0.5)
-        assert prefs.acceptable(_random_offer(0.0, 0.01, 1.0))
-        assert not prefs.acceptable(_random_offer(10.0, 10.0, 0.0))
-
     def test_invalid_reservation(self):
         with pytest.raises(ValueError):
             NegotiationPreferences(buyer_utility(SPACE), reservation=2.0)

@@ -73,16 +73,6 @@ class TestDelivery:
         with pytest.raises(KeyError):
             net.register("n99", lambda m: None)
 
-    def test_broadcast(self, setup):
-        sim, topo, net = setup
-        received = []
-        for node in topo.nodes:
-            net.register(node, received.append)
-        sent = net.broadcast("n0", "announce")
-        sim.run()
-        assert sent == 7
-        assert len(received) == 7
-
     def test_jitter_bounds(self):
         sim = Simulator(seed=5)
         streams = sim.rng.spawn("net")

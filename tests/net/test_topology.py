@@ -5,9 +5,6 @@ import pytest
 
 from repro.net import (
     random_topology,
-    scale_free_topology,
-    small_world_topology,
-    star_topology,
 )
 from repro.sim import RngStreams
 
@@ -21,35 +18,8 @@ class TestBuilders:
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_random_connected(self, streams, n):
         topo = random_topology(n, streams, edge_probability=0.1)
-        assert topo.node_count == n
+        assert len(topo.nodes) == n
         assert nx.is_connected(topo.graph)
-
-    def test_small_world(self, streams):
-        topo = small_world_topology(20, streams, k_neighbors=4)
-        assert topo.node_count == 20
-        assert nx.is_connected(topo.graph)
-
-    def test_small_world_too_small(self, streams):
-        with pytest.raises(ValueError):
-            small_world_topology(3, streams, k_neighbors=4)
-
-    def test_scale_free(self, streams):
-        topo = scale_free_topology(30, streams, attachment=2)
-        degrees = sorted((d for __, d in topo.graph.degree()), reverse=True)
-        assert degrees[0] > degrees[-1]  # hubs exist
-
-    def test_scale_free_too_small(self, streams):
-        with pytest.raises(ValueError):
-            scale_free_topology(2, streams, attachment=2)
-
-    def test_star(self, streams):
-        topo = star_topology(6, streams)
-        degrees = dict(topo.graph.degree())
-        assert max(degrees.values()) == 5
-
-    def test_star_too_small(self, streams):
-        with pytest.raises(ValueError):
-            star_topology(1, streams)
 
     def test_node_naming(self, streams):
         topo = random_topology(5, streams)
@@ -68,10 +38,13 @@ class TestLinks:
         assert topo.link(a, b) == topo.link(b, a)
 
     def test_link_missing(self, streams):
-        topo = star_topology(4, streams)
-        leaves = [n for n, d in topo.graph.degree() if d == 1]
+        topo = random_topology(8, streams)
+        a, b = next(
+            (a, b) for a in topo.nodes for b in topo.nodes
+            if a < b and not topo.graph.has_edge(a, b)
+        )
         with pytest.raises(KeyError):
-            topo.link(leaves[0], leaves[1])
+            topo.link(a, b)
 
     def test_latency_within_range(self, streams):
         topo = random_topology(10, streams, latency_range=(0.5, 0.6))
@@ -94,7 +67,3 @@ class TestPaths:
     def test_trivial_path_latency_zero(self, streams):
         topo = random_topology(12, streams)
         assert topo.path_latency(["n0"]) == 0.0
-
-    def test_diameter_latency(self, streams):
-        topo = star_topology(5, streams, latency_range=(0.1, 0.1))
-        assert topo.diameter_latency() == pytest.approx(0.2)

@@ -141,8 +141,8 @@ class TestParametricPlanner:
         table = _table(rng, n_jobs=3, n_sources=6)
         planner = ParametricPlanner(ExhaustiveSearch())
         prepared = planner.prepare(table, EVALUATOR)
-        light = prepared.by_regime["light"].plan.expected_qos().response_time
-        heavy = prepared.by_regime["heavy"].plan.expected_qos().response_time
+        light = prepared.by_regime["light"].qos.response_time
+        heavy = prepared.by_regime["heavy"].qos.response_time
         # Under the heavy multiplier the chosen plan's *baseline* time is
         # no longer than the light-regime choice (it trades quality for speed).
         assert heavy / 2.5 <= light / 0.7 + 1e-9

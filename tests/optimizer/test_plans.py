@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import TextDocument
 from repro.optimizer import CandidateAssignment, CandidatePlan, evaluate_plan
+from repro.optimizer.plans import PlanColumns
 from repro.qos import QoSVector, QoSWeights
 from repro.query import Query, QueryKind, Retrieve, TopK
 from repro.uncertainty import UncertainEstimate, risk_averse, risk_neutral, risk_seeking
@@ -30,6 +31,11 @@ def _assignment(query, domain, source_id, completeness=0.8, response_time=1.0, r
     )
 
 
+def _columns(plan):
+    """The plan's expected QoS, price and breach risk (one-plan batch)."""
+    return PlanColumns.aggregate(*plan.batch())
+
+
 class TestCandidatePlan:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -51,7 +57,7 @@ class TestCandidatePlan:
             "j1": [_assignment(query, "museum", "s1", response_time=1.0)],
             "j2": [_assignment(query, "auction", "s2", response_time=3.0)],
         })
-        assert plan.expected_qos().response_time == 3.0
+        assert _columns(plan).qos(0).response_time == 3.0
 
     def test_replication_boosts_completeness(self):
         query = _query()
@@ -64,9 +70,8 @@ class TestCandidatePlan:
                 _assignment(query, "museum", "s2", completeness=0.5),
             ],
         })
-        assert replicated.expected_qos().completeness == pytest.approx(0.75)
-        assert single.expected_qos().completeness == pytest.approx(0.5)
-        assert replicated.replication_factor() == 2.0
+        assert _columns(replicated).qos(0).completeness == pytest.approx(0.75)
+        assert _columns(single).qos(0).completeness == pytest.approx(0.5)
 
     def test_price_sums_costs(self):
         query = _query()
@@ -74,8 +79,7 @@ class TestCandidatePlan:
             "j1": [_assignment(query, "museum", "s1", response_time=1.0)],
             "j2": [_assignment(query, "auction", "s2", response_time=2.0)],
         })
-        assert plan.expected_price() == pytest.approx(3.0)
-        assert plan.expected_price(unit_price=2.0) == pytest.approx(6.0)
+        assert _columns(plan).price[0] == pytest.approx(3.0)
 
     def test_breach_risk_composes(self):
         query = _query()
@@ -83,7 +87,7 @@ class TestCandidatePlan:
             "j1": [_assignment(query, "museum", "s1", risk=0.5)],
             "j2": [_assignment(query, "auction", "s2", risk=0.5)],
         })
-        assert plan.breach_risk() == pytest.approx(0.75)
+        assert _columns(plan).breach_risk[0] == pytest.approx(0.75)
 
     def test_to_plan_tree(self):
         query = _query()

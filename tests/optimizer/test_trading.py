@@ -101,9 +101,9 @@ class TestTradingOptimizer:
             issuer_id="iris",
         )
         outcome = optimizer.negotiate(query, registry.domains())
-        assert outcome.fully_served
+        assert outcome.plan is not None and not outcome.unserved_jobs
         assert len(outcome.contracts) == 2  # museum + auction jobs
-        assert outcome.total_price > 0
+        assert sum(c.total_price for c in outcome.contracts) > 0
 
     def test_prefers_better_source(self, market, topic_space, vocabulary):
         registry, sources, bidders = market
@@ -114,7 +114,7 @@ class TestTradingOptimizer:
             issuer_id="iris", target_domains=("museum",),
         )
         outcome = optimizer.negotiate(query, registry.domains())
-        assert outcome.providers == ["m-good"]
+        assert {c.provider_id for c in outcome.contracts} == {"m-good"}
 
     def test_unserved_jobs_reported(self, market, topic_space, vocabulary):
         registry, sources, __ = market
@@ -129,7 +129,7 @@ class TestTradingOptimizer:
             issuer_id="iris",
         )
         outcome = optimizer.negotiate(query, registry.domains())
-        assert not outcome.fully_served
+        assert outcome.unserved_jobs
         assert outcome.plan is None
         assert len(outcome.unserved_jobs) == 2
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.negotiation import FirmStrategy, TimeDependentStrategy, TitForTatStrategy
-from repro.personalization import UserProfile, make_strategy
+from repro.personalization import UserProfile
 
 
 def _profile(interests=None, **kwargs):
@@ -60,27 +59,6 @@ class TestInterest:
         a = _profile(np.array([0.7, 0.2, 0.1]))
         b = UserProfile(user_id="jason", interests=np.array([0.1, 0.2, 0.7]))
         assert a.similarity(b) == pytest.approx(b.similarity(a))
-
-
-class TestStrategyMapping:
-    def test_boulware(self):
-        strategy = make_strategy("boulware")
-        assert isinstance(strategy, TimeDependentStrategy)
-        assert strategy.e < 1
-
-    def test_tit_for_tat(self):
-        assert isinstance(make_strategy("tit-for-tat"), TitForTatStrategy)
-
-    def test_firm(self):
-        assert isinstance(make_strategy("firm"), FirmStrategy)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_strategy("nonsense")
-
-    def test_profile_strategy(self):
-        profile = _profile(negotiation_style="conceder")
-        assert profile.strategy().e > 1
 
 
 class TestCopy:

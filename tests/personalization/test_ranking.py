@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import InformationItem
-from repro.personalization import PersonalizedRanker, UserProfile, generic_ranking
+from repro.personalization import PersonalizedRanker, UserProfile
 from repro.uncertainty import UncertainMatch, UncertainResultSet
 
 
@@ -35,7 +35,7 @@ def _ranker(alpha):
 class TestRanker:
     def test_alpha_zero_matches_generic(self, results):
         ranker = _ranker(alpha=0.0)
-        assert ranker.rerank_items(results) == generic_ranking(results)
+        assert ranker.rerank_items(results) == results.items()
 
     def test_high_alpha_prefers_interests(self, results):
         ranker = _ranker(alpha=0.9)
@@ -43,7 +43,7 @@ class TestRanker:
         assert top.item_id == "on-topic-lowprob"
 
     def test_generic_prefers_probability(self, results):
-        assert generic_ranking(results)[0].item_id == "off-topic-highprob"
+        assert results.items()[0].item_id == "off-topic-highprob"
 
     def test_item_score_blend(self, results):
         ranker = _ranker(alpha=0.5)

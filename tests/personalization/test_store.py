@@ -12,7 +12,7 @@ def _profile(user_id, interests):
 
 @pytest.fixture
 def store():
-    store = ProfileStore(index_top_n=2)
+    store = ProfileStore()
     store.save(_profile("jewelry-fan", [0.8, 0.1, 0.05, 0.05]))
     store.save(_profile("dance-fan", [0.05, 0.8, 0.1, 0.05]))
     store.save(_profile("mixed", [0.45, 0.45, 0.05, 0.05]))
@@ -27,53 +27,7 @@ class TestStore:
         with pytest.raises(KeyError):
             store.load("nobody")
 
-    def test_get_missing_returns_none(self, store):
-        assert store.get("nobody") is None
-
     def test_len_contains(self, store):
         assert len(store) == 3
         assert "mixed" in store
         assert "nobody" not in store
-
-    def test_delete(self, store):
-        store.delete("mixed")
-        assert "mixed" not in store
-        assert "mixed" not in store.candidates_by_topic(0)
-
-    def test_save_replaces_and_reindexes(self, store):
-        store.save(_profile("jewelry-fan", [0.02, 0.03, 0.15, 0.8]))
-        assert "jewelry-fan" not in store.candidates_by_topic(0)
-        assert "jewelry-fan" in store.candidates_by_topic(3)
-
-    def test_topic_index(self, store):
-        assert "jewelry-fan" in store.candidates_by_topic(0)
-        assert "dance-fan" in store.candidates_by_topic(1)
-
-    def test_invalid_index_top_n(self):
-        with pytest.raises(ValueError):
-            ProfileStore(index_top_n=0)
-
-
-class TestSimilarity:
-    def test_find_similar_ranks_by_cosine(self, store):
-        query = _profile("query-user", [0.9, 0.05, 0.025, 0.025])
-        results = store.find_similar(query, k=2)
-        assert results[0][0] == "jewelry-fan"
-
-    def test_self_excluded(self, store):
-        me = store.load("mixed")
-        results = store.find_similar(me, k=5)
-        assert all(user_id != "mixed" for user_id, __ in results)
-
-    def test_self_included_when_requested(self, store):
-        me = store.load("mixed")
-        results = store.find_similar(me, k=5, exclude_self=False)
-        assert results[0][0] == "mixed"
-
-    def test_k_limits_results(self, store):
-        query = _profile("q", [0.5, 0.5, 0.0, 0.0])
-        assert len(store.find_similar(query, k=1)) == 1
-
-    def test_invalid_k(self, store):
-        with pytest.raises(ValueError):
-            store.find_similar(_profile("q", [1, 0, 0, 0]), k=0)

@@ -160,7 +160,6 @@ class TestReputationBounds:
         for outcome in outcomes:
             reputation.observe(outcome)
         assert 0.0 < reputation.score < 1.0
-        assert reputation.pessimistic_score() <= reputation.score
 
     @given(st.lists(unit, min_size=1, max_size=60))
     def test_all_good_outcomes_never_lower_score(self, outcomes):

@@ -81,7 +81,7 @@ def tables(draw):
         specs = draw(st.lists(candidate_specs, min_size=1, max_size=3))
         picks = draw(st.lists(st.sampled_from(specs), min_size=1, max_size=widest))
         candidates = [_candidate(job, spec) for spec in picks]
-        table[candidates[0].job_id] = candidates
+        table[candidates[0].subquery.subquery_id] = candidates
     return table
 
 
@@ -174,7 +174,7 @@ def test_response_time_is_pythons_first_maximum():
                 _candidate(job, (f"s{i}", rt, 0.5, 0.5, 0.5, 0.5, 1.0, 0.1))
                 for i, rt in enumerate(response_times)
             ]
-            table[candidates[0].job_id] = candidates
+            table[candidates[0].subquery.subquery_id] = candidates
         _assert_parity(table, make_evaluator(QoSWeights()), 2)
 
 

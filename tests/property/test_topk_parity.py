@@ -199,6 +199,41 @@ class TestTopkPairwiseParity:
         )
         _assert_bitwise(actual, _expected(engine, query, pool, k, floor))
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        base_index=st.integers(min_value=0, max_value=POOL_SIZE - 1),
+        n_clones=st.integers(min_value=2, max_value=12),
+        others=st.lists(
+            st.integers(min_value=0, max_value=POOL_SIZE - 1),
+            min_size=0, max_size=12,
+        ),
+        query_index=st.integers(min_value=0, max_value=7),
+        k_offset=st.integers(min_value=-3, max_value=3),
+    )
+    def test_many_ties_at_the_kth_score(
+        self, topk_world, base_index, n_clones, others, query_index, k_offset
+    ):
+        """Many clones share the k-th best score: which of them make the
+        cut is settled by item id, exactly as in the full sort."""
+        engine, pool, __, queries, *_ = topk_world
+        texts = [item for item in pool if isinstance(item, TextDocument)]
+        base = texts[base_index % len(texts)]
+        clones = [
+            TextDocument(
+                item_id=f"tie-{j}-{base.item_id}", domain=base.domain,
+                latent=base.latent, terms=dict(base.terms),
+            )
+            for j in range(n_clones)
+        ]
+        candidates = [pool[i] for i in others] + clones
+        query = queries[query_index]
+        full = engine.rank_pairwise(query, candidates)
+        tied = engine.score(query, clones[0])
+        first = next(i for i, (__, s) in enumerate(full) if s == tied)
+        k = max(1, first + n_clones // 2 + k_offset)
+        actual = engine.rank_block_topk(query, engine.prepare(candidates), k)
+        _assert_bitwise(actual, _expected(engine, query, candidates, k, 0.0))
+
     @settings(max_examples=30, deadline=None)
     @given(
         n_candidates=st.integers(min_value=1, max_value=24),

@@ -13,7 +13,7 @@ from repro.query import (
 from repro.sources import SourceRegistry
 from repro.trust import ReputationSystem
 
-from tests.conftest import make_source, make_topic_query
+from tests.conftest import make_source, make_topic_query, refuse
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ class TestAdaptiveExecutor:
 
     def test_declined_job_reassigned(self, adaptive_setup, topic_space, vocabulary):
         registry, context, fallbacks = adaptive_setup
-        registry.source("m1").blacklist.ban("iris")
+        refuse(registry.source("m1"))
         executor = AdaptiveExecutor(context, fallbacks)
         query = make_topic_query(topic_space, vocabulary, "folk-jewelry", k=5)
         plan = standard_plan([Retrieve(query.restricted_to("museum"), "m1")], k=5)
@@ -60,7 +60,7 @@ class TestAdaptiveExecutor:
     def test_cascading_declines_until_budget(self, adaptive_setup, topic_space, vocabulary):
         registry, context, fallbacks = adaptive_setup
         for source_id in ("m1", "m2", "m3"):
-            registry.source(source_id).blacklist.ban("iris")
+            refuse(registry.source(source_id))
         executor = AdaptiveExecutor(context, fallbacks, max_attempts=5)
         query = make_topic_query(topic_space, vocabulary, "folk-jewelry", k=5)
         plan = standard_plan([Retrieve(query.restricted_to("museum"), "m1")], k=5)
@@ -75,7 +75,7 @@ class TestAdaptiveExecutor:
         self, adaptive_setup, topic_space, vocabulary
     ):
         registry, context, fallbacks = adaptive_setup
-        registry.source("m1").blacklist.ban("iris")
+        refuse(registry.source("m1"))
         executor = AdaptiveExecutor(context, fallbacks, max_attempts=1)
         query = make_topic_query(topic_space, vocabulary, "folk-jewelry", k=5)
         plan = standard_plan([Retrieve(query.restricted_to("museum"), "m1")], k=5)
@@ -85,7 +85,7 @@ class TestAdaptiveExecutor:
 
     def test_healthy_jobs_untouched(self, adaptive_setup, topic_space, vocabulary):
         registry, context, fallbacks = adaptive_setup
-        registry.source("m1").blacklist.ban("iris")
+        refuse(registry.source("m1"))
         executor = AdaptiveExecutor(context, fallbacks)
         query = make_topic_query(topic_space, vocabulary, "folk-jewelry", k=5)
         sub = query.restricted_to("museum")

@@ -42,17 +42,6 @@ class TestTraversal:
         plan = TopK(Merge(children=list(leaves)), k=5)
         assert plan.leaves() == leaves
 
-    def test_walk_preorder(self):
-        leaf = Retrieve(_subquery(), "s1")
-        merge = Merge(children=[leaf])
-        plan = TopK(merge, k=5)
-        assert list(plan.walk()) == [plan, merge, leaf]
-
-    def test_depth(self):
-        leaf = Retrieve(_subquery(), "s1")
-        assert leaf.depth() == 1
-        assert TopK(Merge(children=[leaf]), k=1).depth() == 3
-
 
 class TestStandardPlan:
     def test_shape_without_threshold(self):

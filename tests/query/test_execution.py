@@ -12,7 +12,7 @@ from repro.query import (
 from repro.sources import SourceRegistry
 from repro.uncertainty import BinnedCalibrator
 
-from tests.conftest import make_source, make_topic_query
+from tests.conftest import make_source, make_topic_query, refuse
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ class TestExecution:
         result = QueryExecutor(context).execute(plan, query)
         assert len(result.results) <= 5
         assert result.response_time > 0
-        assert result.sources_used == ["m1"]
+        assert [a.source_id for a in result.answers if not a.declined] == ["m1"]
 
     def test_merge_runs_parallel(self, execution_setup, topic_space, vocabulary):
         registry, context = execution_setup
@@ -94,7 +94,7 @@ class TestExecution:
         self, execution_setup, topic_space, vocabulary
     ):
         registry, context = execution_setup
-        registry.source("m1").blacklist.ban("iris")
+        refuse(registry.source("m1"))
         query = make_topic_query(topic_space, vocabulary, "folk-jewelry", k=5)
         plan = standard_plan([Retrieve(query.restricted_to("museum"), "m1")], k=5)
         result = QueryExecutor(context).execute(plan, query)
@@ -128,7 +128,7 @@ class TestExecution:
         result = QueryExecutor(context).execute(plan, query)
         assert len(result.results) == 0
         assert result.response_time == 0.0
-        assert result.sources_used == []
+        assert result.answers == []
         assert result.declined_sources == []
 
     def test_cross_domain_merge(self, execution_setup, topic_space, vocabulary):

@@ -95,7 +95,7 @@ class TestDecomposition:
         )
         subquery = query.restricted_to("museum")
         assert subquery.k == 7
-        assert subquery.threshold == 0.4
+        assert subquery.parent.threshold == 0.4
         assert "museum" in subquery.subquery_id
 
     def test_with_requirement_copies(self):

@@ -95,17 +95,6 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
 
-    def test_transitions_are_recorded_with_times(self, clock):
-        breaker = make_breaker(clock, failure_threshold=1, recovery_time=5.0)
-        breaker.record_failure()
-        clock.now = 7.0
-        breaker.record_success()
-        states = [state for __, state in breaker.transitions]
-        assert states == [
-            BreakerState.OPEN, BreakerState.HALF_OPEN, BreakerState.CLOSED
-        ]
-        assert breaker.transitions[0][0] == 0.0
-
 
 class TestBreakerBoard:
     def test_sources_are_isolated(self, clock):
@@ -113,7 +102,6 @@ class TestBreakerBoard:
         board.record_failure("bad")
         assert not board.allow("bad")
         assert board.allow("good")
-        assert board.open_sources() == ["bad"]
 
     def test_compliance_events_trip_breaker(self, clock):
         board = BreakerBoard(
@@ -122,15 +110,7 @@ class TestBreakerBoard:
         board.observe_compliance("s1", 0.9)  # fine
         board.observe_compliance("s1", 0.2)
         board.observe_compliance("s1", 0.1)
-        assert board.state("s1") is BreakerState.OPEN
-
-    def test_transition_listener_fires_once_per_change(self, clock):
-        board = BreakerBoard(BreakerPolicy(failure_threshold=2), clock)
-        seen = []
-        board.on_transition(lambda sid, old, new: seen.append((sid, old, new)))
-        board.record_failure("s1")  # still closed: no transition
-        board.record_failure("s1")  # closed -> open
-        assert seen == [("s1", BreakerState.CLOSED, BreakerState.OPEN)]
+        assert board.breaker("s1").state is BreakerState.OPEN
 
     def test_contract_monitor_wiring(self, clock):
         """Settlement compliance flows into breakers via on_compliance."""
@@ -147,4 +127,4 @@ class TestBreakerBoard:
         terrible = QoSVector(response_time=99.0, completeness=0.0,
                              freshness=0.0, correctness=0.0, trust=0.0)
         monitor.settle(contract, terrible)
-        assert board.state("flaky-src") is BreakerState.OPEN
+        assert board.breaker("flaky-src").state is BreakerState.OPEN

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import LoadModel, LoadSpec, NodeHealth
+from repro.net import NodeHealth
 from repro.resilience import FaultEvent, FaultInjector, FaultScript
 from repro.sim import Simulator
 
@@ -12,23 +12,18 @@ def stack():
     sim = Simulator(seed=3)
     nodes = ["n1", "n2"]
     health = NodeHealth(sim, nodes, sim.rng.spawn("h"), enabled=False)
-    load = LoadModel(nodes, sim.rng.spawn("l"), LoadSpec(capacity=10.0))
-    return sim, health, load
+    return sim, health
 
 
 class TestFaultEvent:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FaultEvent("meteor", "n1", 0.0, 1.0)
+            FaultEvent("n1", -1.0, 1.0)
         with pytest.raises(ValueError):
-            FaultEvent("outage", "n1", -1.0, 1.0)
-        with pytest.raises(ValueError):
-            FaultEvent("outage", "n1", 0.0, 0.0)
-        with pytest.raises(ValueError):
-            FaultEvent("flaky", "n1", 0.0, 1.0, magnitude=-0.5)
+            FaultEvent("n1", 0.0, 0.0)
 
     def test_end_time(self):
-        assert FaultEvent("outage", "n1", 2.0, 3.0).end == 5.0
+        assert FaultEvent("n1", 2.0, 3.0).end == 5.0
 
 
 class TestFaultScript:
@@ -36,23 +31,16 @@ class TestFaultScript:
         script = (
             FaultScript()
             .outage("n1", start=1.0, duration=2.0)
-            .latency_spike("n2", start=0.0, duration=5.0, slowdown=3.0)
-            .flaky("n1", start=4.0, duration=1.0, decline_probability=0.8)
+            .outage("n2", start=0.0, duration=5.0)
         )
-        assert len(script) == 3
-        assert script.horizon() == 5.0
-
-    def test_builder_validation(self):
-        with pytest.raises(ValueError):
-            FaultScript().latency_spike("n1", 0.0, 1.0, slowdown=0.5)
-        with pytest.raises(ValueError):
-            FaultScript().flaky("n1", 0.0, 1.0, decline_probability=1.0)
+        assert len(script) == 2
+        assert [event.end for event in script.events] == [3.0, 5.0]
 
 
 class TestFaultInjector:
     def test_outage_window_flips_health_down_then_up(self, stack):
-        sim, health, load = stack
-        injector = FaultInjector(sim, health, load)
+        sim, health = stack
+        injector = FaultInjector(sim, health)
         injector.install(FaultScript().outage("n1", start=2.0, duration=3.0))
         sim.run(until=1.0)
         assert health.is_up("n1")
@@ -63,34 +51,9 @@ class TestFaultInjector:
         assert health.is_up("n1")
         assert sim.trace.counter("faults.outage_transitions") == 2
 
-    def test_latency_spike_raises_slowdown_for_window(self, stack):
-        sim, health, load = stack
-        injector = FaultInjector(sim, health, load)
-        injector.install(
-            FaultScript().latency_spike("n1", start=1.0, duration=2.0, slowdown=2.5)
-        )
-        base = load.service_slowdown("n1")
-        sim.run(until=1.5)
-        assert load.service_slowdown("n1") == pytest.approx(2.5)
-        sim.run(until=4.0)
-        assert load.service_slowdown("n1") == pytest.approx(base)
-
-    def test_flaky_window_hits_target_decline_probability(self, stack):
-        sim, health, load = stack
-        injector = FaultInjector(sim, health, load)
-        injector.install(
-            FaultScript().flaky("n1", start=0.5, duration=2.0,
-                                decline_probability=0.9)
-        )
-        assert load.decline_probability("n1") < 0.1
-        sim.run(until=1.0)
-        assert load.decline_probability("n1") == pytest.approx(0.9, abs=1e-6)
-        sim.run(until=3.0)
-        assert load.decline_probability("n1") < 0.1
-
     def test_overlapping_outage_windows_compose(self, stack):
-        sim, health, load = stack
-        injector = FaultInjector(sim, health, load)
+        sim, health = stack
+        injector = FaultInjector(sim, health)
         # Windows [1, 5) and [3, 8) overlap: the node must stay down
         # until the LAST covering window closes.
         injector.install(
@@ -106,52 +69,37 @@ class TestFaultInjector:
         assert sim.trace.counter("faults.outage_transitions") == 2
 
     def test_unknown_node_rejected_at_install(self, stack):
-        sim, health, load = stack
-        injector = FaultInjector(sim, health, load)
+        sim, health = stack
+        injector = FaultInjector(sim, health)
         with pytest.raises(ValueError, match="unknown node"):
             injector.install(FaultScript().outage("ghost", 0.0, 1.0))
-        with pytest.raises(ValueError, match="unknown node"):
-            injector.install(FaultScript().flaky("ghost", 0.0, 1.0))
         assert injector.installed == []
         sim.run()  # nothing was scheduled that can blow up later
 
-    def test_load_faults_require_load_model(self, stack):
-        sim, health, __ = stack
-        injector = FaultInjector(sim, health, load=None)
-        with pytest.raises(ValueError):
-            injector.install(FaultScript().flaky("n1", 0.0, 1.0))
-
     def test_scheduling_counters(self, stack):
-        sim, health, load = stack
-        injector = FaultInjector(sim, health, load)
+        sim, health = stack
+        injector = FaultInjector(sim, health)
         script = (
             FaultScript()
             .outage("n1", 0.0, 1.0)
             .outage("n2", 0.0, 1.0)
-            .latency_spike("n1", 2.0, 1.0)
+            .outage("n1", 2.0, 1.0)
         )
         assert injector.install(script) == 3
-        assert sim.trace.counter("faults.scheduled_outage") == 2
-        assert sim.trace.counter("faults.scheduled_latency_spike") == 1
+        assert sim.trace.counter("faults.scheduled_outage") == 3
         assert len(injector.installed) == 3
 
     def test_same_script_same_seed_replays_identically(self):
         def run(seed):
             sim = Simulator(seed=seed)
             health = NodeHealth(sim, ["n1"], sim.rng.spawn("h"), enabled=False)
-            load = LoadModel(["n1"], sim.rng.spawn("l"), LoadSpec(capacity=5.0))
-            FaultInjector(sim, health, load).install(
-                FaultScript()
-                .outage("n1", 1.0, 2.0)
-                .flaky("n1", 4.0, 1.0, decline_probability=0.7)
+            FaultInjector(sim, health).install(
+                FaultScript().outage("n1", 1.0, 2.0).outage("n1", 4.0, 1.0)
             )
             observed = []
             for t in (0.5, 1.5, 3.5, 4.5, 6.0):
                 sim.run(until=t)
-                observed.append(
-                    (health.is_up("n1"),
-                     round(load.decline_probability("n1"), 12))
-                )
+                observed.append(health.is_up("n1"))
             return observed, sim.trace.counters()
 
         assert run(7) == run(7)

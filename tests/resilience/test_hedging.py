@@ -53,13 +53,13 @@ class TestHedgeSelector:
     ):
         query = make_topic_query(topic_space, vocabulary, "folk-jewelry", k=5)
         selector = HedgeSelector(museum_registry)
-        assert selector.best_alternate(query.restricted_to("atlantis")) is None
+        assert selector.alternates(query.restricted_to("atlantis")) == []
 
     def test_best_alternate_prefers_fastest_advertised(
         self, museum_registry, museum_subquery
     ):
         selector = HedgeSelector(museum_registry)
-        best = selector.best_alternate(museum_subquery)
+        best = selector.alternates(museum_subquery)[0]
         descriptors = {
             d.source_id: d.advertised["museum"].response_time
             for d in museum_registry.candidates_for("museum")

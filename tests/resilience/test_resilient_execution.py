@@ -12,7 +12,7 @@ import pytest
 from repro.core import Consumer
 from repro.core.builder import build_agora
 from repro.data import DomainSpec, reset_item_ids
-from repro.net import LoadModel, LoadSpec, NodeHealth, reset_message_ids
+from repro.net import LoadModel, NodeHealth, reset_message_ids
 from repro.personalization import UserProfile
 from repro.query import (
     ExecutionContext,
@@ -43,7 +43,7 @@ def stack(corpus_generator, matching_engine, streams, oracle):
     sim = Simulator(seed=5)
     nodes = ["node-m1", "node-m2", "node-a1"]
     health = NodeHealth(sim, nodes, sim.rng.spawn("h"), enabled=False)
-    load = LoadModel(nodes, sim.rng.spawn("l"), LoadSpec(capacity=10.0))
+    load = LoadModel(sim.rng.spawn("l"))
     registry = SourceRegistry()
     museum = DomainSpec(name="museum", topic_prior={"folk-jewelry": 1.0})
     auction = DomainSpec(name="auction", topic_prior={"auction-market": 1.0})
@@ -58,6 +58,11 @@ def stack(corpus_generator, matching_engine, streams, oracle):
         domain_spec=auction, n_items=15, health=health, load=load,
     ))
     return sim, health, load, registry, oracle
+
+
+def _served(result):
+    """Sorted ids of the sources that answered."""
+    return sorted({a.source_id for a in result.answers if not a.declined})
 
 
 def make_context(sim, registry, oracle, config, latency=None, seed=11):
@@ -94,7 +99,7 @@ class TestFailover:
         query, plan = museum_plan(topic_space, vocabulary)
         result = QueryExecutor(context).execute(plan, query)
         assert len(result.results) > 0
-        assert result.sources_used == ["m2"]
+        assert _served(result) == ["m2"]
         assert result.resilience_events.get("failovers", 0) >= 1
         assert result.resilience_events.get("leaf_recoveries", 0) == 1
         assert [h.winner for h in result.hedge_outcomes] == ["m2"]
@@ -118,7 +123,7 @@ class TestFailover:
         # m1 was never even asked the second time round.
         assert all(a.source_id != "m1" for a in second.answers)
         assert second.resilience_events.get("breaker_short_circuits", 0) == 1
-        assert second.sources_used == ["m2"]
+        assert _served(second) == ["m2"]
 
     def test_mid_query_outage_degrades_to_partial_results(
         self, stack, topic_space, vocabulary
@@ -185,14 +190,15 @@ class TestRetryBudget:
         # No retry fits a 0.5 budget, but the instant failover does.
         assert result.resilience_events.get("retries", 0) == 0
         assert result.resilience_events.get("deadline_stops", 0) == 1
-        assert result.sources_used == ["m2"]
+        assert _served(result) == ["m2"]
 
     def test_retry_eventually_recovers_flaky_source(
         self, stack, topic_space, vocabulary
     ):
         sim, health, load, registry, oracle = stack
-        # Overload a1's node so it declines most requests but not all.
-        load.begin("node-a1", 10.0)  # utilisation 1.0 -> ~50% declines
+        # a1 declines its first two requests, then serves.
+        declines = iter([(False, "overloaded")] * 2)
+        registry.source("a1").accepts = lambda consumer_id, now: next(declines, (True, ""))
         config = ResilienceConfig(
             enabled=True,
             retry=RetryPolicy(max_attempts=8, base_delay=0.01, jitter=0.0),
@@ -202,7 +208,7 @@ class TestRetryBudget:
         plan = standard_plan([Retrieve(query.restricted_to("auction"), "a1")], k=5)
         result = QueryExecutor(context).execute(plan, query)
         assert len(result.results) > 0
-        assert result.sources_used == ["a1"]
+        assert _served(result) == ["a1"]
         assert result.resilience_events.get("retries", 0) >= 1
 
 
@@ -246,7 +252,7 @@ class TestHedging:
         unhedged = QueryExecutor(slow_context).execute(plan, query)
         assert result.resilience_events.get("hedge_wins", 0) == 1
         assert result.response_time < unhedged.response_time
-        assert any(h.hedge_won for h in result.hedge_outcomes)
+        assert any(h.winner == h.alternate for h in result.hedge_outcomes)
 
 
 class TestDeterministicRecovery:

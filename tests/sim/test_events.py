@@ -27,28 +27,13 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             queue.push(-0.5, lambda: None)
 
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None, tag="a")
-        queue.push(2.0, lambda: None, tag="b")
-        event.cancel()
-        assert queue.pop().tag == "b"
-        assert queue.pop() is None
-
     def test_len_counts_live_events(self):
         queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
+        queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
-        event.cancel()
+        queue.pop()
         assert len(queue) == 1
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(3.0, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 3.0
 
     def test_empty_queue_is_falsy(self):
         queue = EventQueue()

@@ -61,7 +61,7 @@ class TestRunLimits:
         processed = sim.run(until=5.0)
         assert processed == 0
         assert sim.now == 5.0
-        assert sim.pending == 1
+        assert sim.run() == 1
 
     def test_run_until_includes_boundary(self):
         sim = Simulator()
@@ -75,13 +75,7 @@ class TestRunLimits:
         for i in range(5):
             sim.schedule(float(i + 1), lambda: None)
         assert sim.run(max_events=3) == 3
-        assert sim.pending == 2
-
-    def test_step(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        assert sim.step() is True
-        assert sim.step() is False
+        assert sim.run() == 2
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()

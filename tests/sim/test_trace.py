@@ -22,91 +22,6 @@ class TestCounters:
         assert trace.counter("x") == 1.0
 
 
-class TestTimers:
-    def test_observe_aggregates(self):
-        trace = TraceRecorder()
-        for value in (1.0, 3.0, 2.0):
-            trace.observe("latency", value)
-        stats = trace.timer("latency")
-        assert stats.count == 3
-        assert stats.mean == 2.0
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-
-    def test_empty_timer_mean_is_zero(self):
-        assert TraceRecorder().timer("empty").mean == 0.0
-
-    def test_timer_read_creates_no_entry(self):
-        # Regression: the defaultdict-backed recorder used to insert an
-        # empty TimerStats on every read, polluting summaries.
-        trace = TraceRecorder()
-        trace.timer("phantom")
-        assert trace.timers() == {}
-        assert "phantom" not in trace.summary()["timers"]
-        assert trace.metrics.histogram_or_none("phantom") is None
-
-    def test_timer_returns_detached_snapshot(self):
-        trace = TraceRecorder()
-        trace.observe("latency", 1.0)
-        snapshot = trace.timer("latency")
-        snapshot.observe(100.0)  # folding into the snapshot...
-        assert trace.timer("latency").count == 1  # ...never writes back
-        assert trace.timer("latency").maximum == 1.0
-
-
-class TestRecords:
-    def test_record_and_filter(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "net", "send")
-        trace.record(2.0, "qos", "breach")
-        assert len(trace.records()) == 2
-        assert [r.label for r in trace.records("net")] == ["send"]
-
-    def test_record_cap(self):
-        trace = TraceRecorder(max_records=2)
-        for i in range(5):
-            trace.record(float(i), "c", "l")
-        assert len(trace.records()) == 2
-        assert trace.dropped_records == 3
-
-    def test_keep_records_false(self):
-        trace = TraceRecorder(keep_records=False)
-        trace.record(1.0, "c", "l")
-        assert trace.records() == []
-
-    def test_summary_shape(self):
-        trace = TraceRecorder()
-        trace.count("x")
-        trace.observe("t", 1.0)
-        trace.record(0.0, "c", "l")
-        summary = trace.summary()
-        assert summary["counters"] == {"x": 1.0}
-        assert summary["timers"]["t"]["count"] == 1
-        assert summary["records"] == 1
-
-    def test_summary_reports_dropped_records(self):
-        trace = TraceRecorder(max_records=1)
-        trace.record(0.0, "c", "kept")
-        trace.record(1.0, "c", "dropped")
-        summary = trace.summary()
-        assert summary["records"] == 1
-        assert summary["dropped"] == 1
-        assert [r.label for r in trace.records()] == ["kept"]
-
-    def test_summary_is_pure(self):
-        # Building a summary must not fabricate counters or timers, and
-        # summarising twice must give identical results.
-        trace = TraceRecorder()
-        trace.count("real")
-        trace.counter("ghost-counter")  # reads...
-        trace.timer("ghost-timer")
-        first = trace.summary()
-        second = trace.summary()
-        assert first == second
-        assert set(first["counters"]) == {"real"}
-        assert first["timers"] == {}
-
-
 class TestRegistryBacking:
     def test_counts_land_in_shared_registry(self):
         registry = MetricsRegistry()

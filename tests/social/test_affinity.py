@@ -21,9 +21,7 @@ def _profile(user_id, interests):
 @pytest.fixture
 def world():
     graph = SocialGraph()
-    graph.befriend("iris", "jason")
-    graph.add_user("twin")       # same interests, no social tie
-    graph.add_user("stranger")
+    graph.befriend("iris", "jason")  # "twin" shares iris's interests, no tie
     store = ProfileStore()
     store.save(_profile("iris", [0.8, 0.2]))
     store.save(_profile("jason", [0.2, 0.8]))

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import InformationItem
-from repro.personalization import (
-    PersonalizedRanker,
-    ProfileLearner,
-    UserProfile,
-)
-from repro.social import AffineNeighbour, SocialRanker, learn_from_peer_queries
+from repro.personalization import PersonalizedRanker, UserProfile
+from repro.social import AffineNeighbour, SocialRanker
 from repro.uncertainty import UncertainMatch, UncertainResultSet
 
 
@@ -73,16 +69,3 @@ class TestSocialRanker:
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
             SocialRanker(_personal_ranker([1, 0]), [], social_weight=1.5)
-
-
-class TestPeerLearning:
-    def test_peer_queries_shift_profile(self):
-        learner = ProfileLearner(2, concept_fn=lambda item: item.latent)
-        peer_items = [_item([0.0, 1.0], f"p{i}") for i in range(20)]
-        applied = learn_from_peer_queries(learner, "iris", peer_items)
-        assert applied == 20
-        assert np.argmax(learner.interests("iris")) == 1
-
-    def test_empty_peer_evidence(self):
-        learner = ProfileLearner(2, concept_fn=lambda item: item.latent)
-        assert learn_from_peer_queries(learner, "iris", []) == 0

@@ -14,7 +14,6 @@ from repro.social import (
 def graph():
     g = SocialGraph()
     g.befriend("iris", "jason")
-    g.add_user("stranger")
     return g
 
 
@@ -69,8 +68,3 @@ class TestRegistry:
         )
         registry.set_policy(open_policy)
         assert registry.can_see("stranger", "iris", "history")
-
-    def test_visible_users_filter(self, graph):
-        registry = PrivacyRegistry(graph)
-        visible = registry.visible_users("jason", "interests", ["iris", "stranger"])
-        assert visible == ["iris"]

@@ -76,12 +76,6 @@ class TestSocialTrustView:
         assert opinions[0].affinity == 0.8
         assert view.opinions("unseen") == []
 
-    def test_informed_sources_union(self):
-        own = _system({"a": [1.0]})
-        friend = _system({"b": [0.0]})
-        view = SocialTrustView(own, {"f": friend}, [_neighbour("f", 0.5)])
-        assert view.informed_sources() == ["a", "b"]
-
     def test_neighbour_without_shared_system_ignored(self):
         own = ReputationSystem()
         view = SocialTrustView(own, {}, [_neighbour("private-friend", 0.9)])

@@ -20,7 +20,7 @@ def index():
 
 class TestVisibility:
     def test_empty_index(self, index):
-        assert index.size == 0
+        assert index.visible_count(float("inf")) == 0
         assert index.visible_items(10.0) == []
         assert index.visible_count(10.0) == 0
         assert index.domain_size("museum") == 0
@@ -55,7 +55,7 @@ class TestVisibility:
         assert index.visible_items(1.0, "no-such-domain") == []
         assert index.visible_items(1.0) == [museum, auction]
         assert index.domain_size("museum") == 1
-        assert index.size == 2
+        assert index.visible_count(float("inf")) == 2
 
 
 class TestCacheCoherenceProtocol:

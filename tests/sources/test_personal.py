@@ -33,7 +33,7 @@ class TestSaving:
 
     def test_save_all(self, base, corpus_generator):
         base.save_all(_items(corpus_generator, 4))
-        assert base.collection_size == 4
+        assert len(base.visible_items(float("inf"))) == 4
 
     def test_saved_items_immediately_visible(self, base, corpus_generator):
         base.save(_items(corpus_generator, 1)[0], now=10.0)
@@ -82,7 +82,7 @@ class TestQuerying:
         answer = base.answer(query.restricted_to(PERSONAL_DOMAIN), now=0.0,
                              consumer_id="iris")
         assert not answer.declined
-        assert answer.size == 3
+        assert len(answer.matches) == 3
 
     def test_shared_user_can_query(self, base, corpus_generator, topic_space, vocabulary):
         base.save_all(_items(corpus_generator, 3))

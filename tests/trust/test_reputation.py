@@ -54,18 +54,6 @@ class TestBetaReputation:
                 rep.observe(1.0)
         assert fast.score > slow.score
 
-    def test_pessimistic_score_below_score(self):
-        rep = BetaReputation()
-        rep.observe(1.0)
-        assert rep.pessimistic_score() < rep.score
-
-    def test_variance_shrinks_with_evidence(self):
-        rep = BetaReputation()
-        before = rep.variance
-        for __ in range(10):
-            rep.observe(1.0)
-        assert rep.variance < before
-
 
 class TestReputationSystem:
     def test_unknown_subject_neutral(self):

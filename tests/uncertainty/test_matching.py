@@ -196,7 +196,7 @@ class TestScoreManyEdges:
     def test_empty_candidates(self, engine, corpus_generator):
         query = corpus_generator.generate(_text_domain(), 1)[0]
         assert engine.score_many(query, []).shape == (0,)
-        assert engine.rank(query, []) == []
+        assert engine.rank_block(query, engine.prepare([])) == []
 
     def test_single_candidate_matches_score(self, engine, corpus_generator):
         query = corpus_generator.generate(_text_domain(), 1)[0]
@@ -250,7 +250,7 @@ class TestMatchingEngine:
     def test_rank_orders_descending(self, engine, corpus_generator):
         query = corpus_generator.generate(_text_domain("q", "dance-forms"), 1)[0]
         candidates = corpus_generator.generate(_text_domain("c", "dance-forms"), 5)
-        ranked = engine.rank(query, candidates)
+        ranked = engine.rank_block(query, engine.prepare(candidates))
         scores = [score for __, score in ranked]
         assert scores == sorted(scores, reverse=True)
 
@@ -258,6 +258,6 @@ class TestMatchingEngine:
         query = corpus_generator.generate(_text_domain("q", "dance-forms"), 1)[0]
         relevant = corpus_generator.generate(_text_domain("r", "dance-forms"), 5)
         irrelevant = corpus_generator.generate(_text_domain("i", "auction-market"), 5)
-        ranked = engine.rank(query, relevant + irrelevant)
+        ranked = engine.rank_block(query, engine.prepare(relevant + irrelevant))
         top_domains = {item.domain for item, __ in ranked[:3]}
         assert "r" in top_domains

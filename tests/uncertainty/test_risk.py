@@ -54,11 +54,6 @@ class TestLotteries:
     def test_seeking_ce_above_expected_value(self):
         assert risk_seeking().certainty_equivalent(*COIN) > 0.5
 
-    def test_risk_premium_signs(self):
-        assert risk_averse().risk_premium(*COIN) > 0
-        assert risk_neutral().risk_premium(*COIN) == pytest.approx(0.0)
-        assert risk_seeking().risk_premium(*COIN) < 0
-
     def test_degenerate_lottery(self):
         assert risk_averse().certainty_equivalent([0.7], [1.0]) == pytest.approx(0.7)
 

@@ -104,12 +104,12 @@ class TestAutoAnnotate:
         )
         records = service.auto_annotate("iris", compound, lifter, k=2)
         assert len(records) == 2
-        assert all(record.standing_id is not None for record in records)
+        assert all(record.standing is not None for record in records)
         assert all("[auto]" in record.annotation.text for record in records)
         # The sharp part drives one of the standing comparisons.
         compared = {
             item.item_id
             for record in records
-            for item in feeds.standing_query(record.standing_id).comparison_items
+            for item in record.standing.comparison_items
         }
         assert sharp.item_id in compared

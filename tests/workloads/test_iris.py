@@ -5,6 +5,8 @@ import pytest
 from repro import build_agora
 from repro.workloads import build_iris_scenario
 
+from tests.conftest import peak_topic
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -18,8 +20,8 @@ class TestScenario:
         iris = scenario.iris.active_profile()
         jason = scenario.jason.active_profile()
         space = scenario.agora.topic_space
-        assert space.peak_topic(iris.interests) == "folk-jewelry"
-        assert space.peak_topic(jason.interests) == "dance-forms"
+        assert peak_topic(space, iris.interests) == "folk-jewelry"
+        assert peak_topic(space, jason.interests) == "dance-forms"
         assert iris.risk.name == "averse"
         assert jason.negotiation_style == "conceder"
 
@@ -39,8 +41,8 @@ class TestScenario:
             sorted(scenario.agora.sources)[0]
         ].visible_items(now=0.0)
         scenario.save_to_base("iris", items[0])
-        assert scenario.base_of("iris") == [items[0]]
-        assert scenario.base_of("jason") == []
+        assert scenario.personal_base.get("iris", []) == [items[0]]
+        assert scenario.personal_base.get("jason", []) == []
 
     def test_iris_can_shop(self, scenario):
         query = scenario.workload.topic_query("folk-jewelry", k=5, issuer_id="iris")
@@ -48,8 +50,8 @@ class TestScenario:
         assert len(result.ranked_items) > 0
 
     def test_annotation_triggers_comparison(self, scenario):
-        items = scenario.base_of("iris") or scenario.agora.sources[
+        items = scenario.personal_base.get("iris", []) or scenario.agora.sources[
             sorted(scenario.agora.sources)[0]
         ].visible_items(now=0.0)
         record = scenario.annotations.annotate("iris", items[0], text="note")
-        assert record.standing_id is not None
+        assert record.standing is not None

@@ -5,7 +5,9 @@ import pytest
 
 from repro.personalization import UserProfile
 from repro.query import QueryKind
-from repro.workloads import QueryWorkloadGenerator, UserPopulationGenerator
+from repro.workloads import QueryWorkloadGenerator
+
+from tests.conftest import peak_topic
 
 
 @pytest.fixture
@@ -20,7 +22,7 @@ class TestTopicQueries:
         query = generator.topic_query("dance-forms", k=7)
         assert query.kind is QueryKind.TOPIC
         assert query.k == 7
-        assert topic_space.peak_topic(query.intent_latent) == "dance-forms"
+        assert peak_topic(topic_space, query.intent_latent) == "dance-forms"
         assert sum(query.terms.values()) == 60
 
     def test_issuer_propagates(self, generator):
@@ -34,9 +36,7 @@ class TestInterestQueries:
             user_id="u", interests=topic_space.basis("folk-jewelry", 0.95),
         )
         peaks = [
-            topic_space.peak_topic(
-                generator.interest_query(profile).intent_latent
-            )
+            peak_topic(topic_space, generator.interest_query(profile).intent_latent)
             for __ in range(20)
         ]
         assert peaks.count("folk-jewelry") >= 12
@@ -52,7 +52,7 @@ class TestSimilarityQueries:
         query = generator.similarity_query("folk-jewelry")
         assert query.kind is QueryKind.SIMILARITY
         assert query.reference_item is not None
-        assert topic_space.peak_topic(query.reference_item.latent) == "folk-jewelry"
+        assert peak_topic(topic_space, query.reference_item.latent) == "folk-jewelry"
 
     def test_without_corpus_rejected(self, topic_space, vocabulary, streams):
         generator = QueryWorkloadGenerator(
@@ -60,23 +60,3 @@ class TestSimilarityQueries:
         )
         with pytest.raises(RuntimeError):
             generator.similarity_query("tourism")
-
-
-class TestMixedWorkload:
-    def test_size(self, generator, topic_space, streams):
-        population = UserPopulationGenerator(
-            topic_space, streams.spawn("pop2")
-        ).generate_population(4)
-        workload = generator.mixed_workload(population, queries_per_user=3)
-        assert len(workload) == 12
-
-    def test_issuers_cycle(self, generator, topic_space, streams):
-        population = UserPopulationGenerator(
-            topic_space, streams.spawn("pop3")
-        ).generate_population(3)
-        workload = generator.mixed_workload(population, queries_per_user=1)
-        assert [q.issuer_id for q in workload] == [p.user_id for p in population]
-
-    def test_negative_rejected(self, generator):
-        with pytest.raises(ValueError):
-            generator.mixed_workload([], queries_per_user=-1)
