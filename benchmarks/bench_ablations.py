@@ -15,7 +15,7 @@ A8  adaptive re-execution on source declines vs static plans (§2's
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentResult, summarize
+from repro.experiments import ExperimentResult, ndcg, summarize
 
 SEED = 73
 
@@ -248,12 +248,8 @@ def run_a4() -> ExperimentResult:
             personal = PersonalizedRanker(me, lambda item: item.latent, 0.5)
             ranker = SocialRanker(personal, neighbours, social_weight=0.5)
             ranked = ranker.rerank_items(results)
-            gains = [space.relevance(me.interests, item.latent)
-                     for item in ranked]
-            discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
-            ideal = sorted(gains, reverse=True)
-            denom = float(np.dot(ideal, discounts))
-            ndcgs.append(float(np.dot(gains, discounts)) / denom if denom else 0.0)
+            ndcgs.append(ndcg([space.relevance(me.interests, item.latent)
+                               for item in ranked]))
         return float(np.mean(ndcgs))
 
     true_affinities = [

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import Consumer, build_agora
-from repro.experiments import ExperimentResult, summarize, win_rate
+from repro.experiments import ExperimentResult, ndcg, summarize, win_rate
 from repro.personalization import PersonalizedRanker, ProfileLearner
 from repro.workloads import ClickModel, QueryWorkloadGenerator, UserPopulationGenerator
 
@@ -29,14 +29,7 @@ def _personal_ndcg(agora, profile, query, items, k=10):
         personal = agora.topic_space.relevance(profile.interests, item.latent)
         return 0.5 * topical + 0.5 * personal
 
-    if not items:
-        return 0.0
-    gains = [gain(item) for item in items[:k]]
-    discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
-    dcg = float(np.dot(gains, discounts))
-    ideal = sorted((gain(item) for item in items), reverse=True)[:k]
-    ideal_dcg = float(np.dot(ideal, 1.0 / np.log2(np.arange(2, len(ideal) + 2))))
-    return dcg / ideal_dcg if ideal_dcg > 0 else 0.0
+    return ndcg([gain(item) for item in items], k)
 
 
 def run_t6(seed=41, n_users=8, sessions_per_user=10) -> ExperimentResult:

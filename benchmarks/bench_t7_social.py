@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import build_agora
-from repro.experiments import ExperimentResult, summarize
+from repro.experiments import ExperimentResult, ndcg, summarize
 from repro.personalization import PersonalizedRanker, ProfileStore, UserProfile
 from repro.social import (
     AffineNeighbour,
@@ -67,15 +67,7 @@ def _personal_gain(agora, profile, query, item):
 
 
 def _ndcg(agora, profile, query, items, k=10):
-    if not items:
-        return 0.0
-    gains = [_personal_gain(agora, profile, query, item) for item in items[:k]]
-    discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
-    dcg = float(np.dot(gains, discounts))
-    ideal = sorted((_personal_gain(agora, profile, query, item) for item in items),
-                   reverse=True)[:k]
-    ideal_dcg = float(np.dot(ideal, 1.0 / np.log2(np.arange(2, len(ideal) + 2))))
-    return dcg / ideal_dcg if ideal_dcg > 0 else 0.0
+    return ndcg([_personal_gain(agora, profile, query, item) for item in items], k)
 
 
 def run_t7(seed=47, queries_per_user=4) -> ExperimentResult:

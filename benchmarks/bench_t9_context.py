@@ -11,7 +11,6 @@ Expected shape: conditional-with-true-context > static; inferred context
 recovers most of the gap.
 """
 
-import numpy as np
 import pytest
 
 from repro import Consumer, UserProfile, build_agora
@@ -23,7 +22,7 @@ from repro.context import (
     ContextInferencer,
     ProfileOverlay,
 )
-from repro.experiments import ExperimentResult, summarize
+from repro.experiments import ExperimentResult, ndcg, summarize
 from repro.personalization import PersonalizedRanker
 from repro.workloads import QueryWorkloadGenerator
 
@@ -38,15 +37,7 @@ def _personal_gain(agora, interests, query, item):
 
 
 def _ndcg(agora, interests, query, items, k=10):
-    if not items:
-        return 0.0
-    gains = [_personal_gain(agora, interests, query, item) for item in items[:k]]
-    discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
-    dcg = float(np.dot(gains, discounts))
-    ideal = sorted((_personal_gain(agora, interests, query, item) for item in items),
-                   reverse=True)[:k]
-    ideal_dcg = float(np.dot(ideal, 1.0 / np.log2(np.arange(2, len(ideal) + 2))))
-    return dcg / ideal_dcg if ideal_dcg > 0 else 0.0
+    return ndcg([_personal_gain(agora, interests, query, item) for item in items], k)
 
 
 def _make_conditional(agora, user_id):

@@ -16,8 +16,10 @@ code objects the consumers called by ``(file, co_firstlineno, name)``;
 for a decorated function ``co_firstlineno`` is its first decorator's
 line.  The report lists every unreached function and every
 ``AgoraConfig`` field that no consumer sets to a value other than its
-default.  Exit status: 0 when everything unreached is in
-:data:`EXCEPTIONS`, 1 when anything else is, 2 when a consumer failed.
+default, and every :data:`EXCEPTIONS` entry that covers neither (a stale
+excuse).  Exit status: 0 when everything unreached is in
+:data:`EXCEPTIONS` and no entry is stale, 1 otherwise, 2 when a consumer
+failed.
 """
 
 from __future__ import annotations
@@ -89,83 +91,14 @@ EXCEPTIONS: Tuple[Tuple[str, str], ...] = (
     ("repro.uncertainty.matching.MatchingEngine.rank_pairwise",
      "parity reference of the batched rank"),
     ("repro.uncertainty.similarity.bag_cosine", "parity reference of compact_cosine"),
-    ("repro.uncertainty.similarity.compact_cosine", "parity reference of the block kernel"),
-    ("repro.uncertainty.matching.TextMatcher.score_many",
-     "batch path checked against score by the parity suites"),
-    ("repro.uncertainty.matching.MediaMatcher.score_many",
-     "batch path checked against score by the parity suites"),
-    ("repro.uncertainty.matching.CrossTypeMatcher.score_many",
-     "batch path checked against score by the parity suites"),
-    ("repro.uncertainty.matching.MatchingEngine.score_many",
-     "batch path checked against score by the parity suites"),
     ("repro.uncertainty.matching.CandidateBlock._score_compound_query",
      "batch path checked against score by the parity suites"),
-    ("repro.personalization.behavior", "DESIGN §2b construction of a paper claim"),
-    ("repro.personalization.integration", "DESIGN §2b construction of a paper claim"),
-    ("repro.negotiation.auctions", "DESIGN §2b construction of a paper claim"),
-    ("repro.optimizer.parametric", "DESIGN §2b construction of a paper claim"),
-    ("repro.sources.personal", "DESIGN §2b construction of a paper claim"),
-    ("repro.uncertainty.salience", "DESIGN §2b construction of a paper claim"),
-    ("repro.multimodal.annotations.AnnotationService.auto_annotate",
-     "DESIGN §2b construction of a paper claim (salience)"),
-    ("repro.multimodal.annotations.AnnotationService.extend_comparison",
-     "DESIGN §2b construction of a paper claim (salience)"),
+    ("repro.qos.pricing.PricingPolicy.quote",
+     "abstract method of the live FlatPricing and RiskPricedPremium policies"),
     ("field:mean_uptime", "tests build the churn scenario they assert on with it"),
     ("field:mean_downtime", "tests build the churn scenario they assert on with it"),
     ("field:overpromise_range", "tests build the breach scenario they assert on with it"),
     ("field:error_rate_range", "tests build the breach scenario they assert on with it"),
-    ("repro.query.algebra.Threshold.__post_init__",
-     "input validation of a live plan operator; no consumer query sets a threshold"),
-) + tuple(
-    (name, "unreached; deletion deferred to a later item-5 change, together with its tests")
-    for name in (
-        "repro.uncertainty.estimates.UncertainEstimate.exact",
-        "repro.uncertainty.estimates.UncertainEstimate.from_samples",
-        "repro.uncertainty.estimates.UncertainEstimate.relative_error",
-        "repro.uncertainty.estimates.UncertainEstimate.__add__",
-        "repro.uncertainty.estimates.UncertainEstimate.scale",
-        "repro.uncertainty.estimates.UncertainEstimate.combine_max",
-        "repro.uncertainty.estimates.UncertainEstimate.sample",
-        "repro.uncertainty.estimates.UncertainEstimate.quantile",
-        "repro.uncertainty.estimates._normal_quantile",
-        "repro.uncertainty.similarity.cosine_similarity",
-        "repro.uncertainty.similarity.jaccard_similarity",
-        "repro.uncertainty.similarity.weighted_jaccard",
-        "repro.uncertainty.similarity.EnsembleSimilarity",
-        "repro.uncertainty.results.UncertainResultSet.filter_confidence",
-        "repro.uncertainty.results.UncertainResultSet.expected_relevant",
-        "repro.uncertainty.results.UncertainResultSet.expected_precision",
-        "repro.uncertainty.results.UncertainResultSet.expected_recall",
-        "repro.uncertainty.results.UncertainResultSet.sample_world",
-        "repro.uncertainty.results.UncertainResultSet.reweighted",
-        "repro.uncertainty.results.merge_all",
-        "repro.optimizer.pareto.dominates",
-        "repro.optimizer.pareto.hypervolume",
-        "repro.optimizer.pareto.regret",
-        "repro.qos.vector.QoSVector.dominates",
-        "repro.qos.vector.QoSVector.meets",
-        "repro.qos.vector.QoSVector.as_dict",
-        "repro.qos.vector.QoSVector.clamped",
-        "repro.qos.vector.QoSVector.worst_case",
-        "repro.qos.vector.QoSRequirement.is_trivial",
-        "repro.qos.vector.QoSRequirement.tighten",
-        "repro.qos.vector.QoSRequirement.as_promise",
-        "repro.qos.pricing.PricingPolicy.quote",
-        "repro.qos.pricing.CompetitivePricing",
-        "repro.qos.monitor.ContractMonitor.outcomes",
-        "repro.qos.monitor.ContractMonitor.total_contracts",
-        "repro.qos.monitor.ContractMonitor.overall_breach_rate",
-        "repro.qos.monitor.ContractMonitor.consumer_spend",
-        "repro.query.oracle.RelevanceOracle.ndcg",
-        "repro.query.oracle.RelevanceOracle.precision_recall",
-        "repro.experiments.metrics.Summary.__str__",
-        "repro.experiments.metrics.relative_improvement",
-        "repro.experiments.metrics.mann_whitney_p",
-        "repro.experiments.runner.ExperimentResult.append_to",
-        "repro.experiments.runner.ExperimentResult.to_csv",
-        "repro.experiments.runner.ExperimentResult.write_csv",
-        "repro.experiments.runner.ExperimentSuite",
-    )
 )
 
 #: dunders the interpreter or a container calls implicitly
@@ -327,11 +260,16 @@ def config_fields(src: Path, config: Tuple[str, str]) -> List[str]:
     raise LookupError(f"no class {cls} in {path}")
 
 
+def covers(name: str, function: Function) -> bool:
+    """Whether the exception entry ``name`` covers ``function``."""
+    return function.qualname == name or function.qualname.startswith(name + ".")
+
+
 def exception_reason(function: Function, live_classes: Set[str],
                      exceptions: Sequence[Tuple[str, str]]) -> Optional[str]:
     """Why an unreached function may stay, or ``None`` if it may not."""
     for name, reason in exceptions:
-        if function.qualname == name or function.qualname.startswith(name + "."):
+        if covers(name, function):
             return reason
     if function.name in PROTOCOL_DUNDERS and function.cls in live_classes:
         return DUNDER_REASON
@@ -358,6 +296,9 @@ def report(root: Path, package: str, consumers: Sequence[Tuple[str, Sequence[str
                      if name.startswith("field:")}
     unset = [name for name in config_fields(src, config) if name not in set_fields]
     unset_dead = [name for name in unset if name not in field_reasons]
+    stale = [name for name, __ in exceptions if not name.startswith("field:")
+             and not any(covers(name, f) for f in unreached)]
+    stale += [f"field:{name}" for name in field_reasons if name not in unset]
 
     total_lines = sum(f.lines for f in everything)
     print(f"reach: {len(consumers)} consumers reached {len(reached)} of "
@@ -376,7 +317,10 @@ def report(root: Path, package: str, consumers: Sequence[Tuple[str, Sequence[str
     for name in unset:
         reason = field_reasons.get(name)
         print(f"  {name}" + (f" -- {reason}" if reason else ""), file=out)
-    return 1 if dead or unset_dead else 0
+    print(f"\nexceptions that cover nothing unreached or unset: {len(stale)}", file=out)
+    for name in stale:
+        print(f"  {name}", file=out)
+    return 1 if dead or unset_dead or stale else 0
 
 
 def main() -> int:

@@ -12,6 +12,7 @@ Run with:  python examples/iris_scenario.py
 
 from repro import QoSRequirement, build_agora
 from repro.social import AffinityIndex, SocialRanker
+from repro.sources import PERSONAL_DOMAIN
 from repro.workloads import build_iris_scenario
 
 
@@ -33,14 +34,19 @@ def main() -> None:
           f"utility {result.utility:.3f}")
 
     # Save the best finds into her personal information base + annotate.
-    for item in result.ranked_items[:3]:
-        scenario.save_to_base("iris", item)
+    base = scenario.personal_base
+    finds = result.ranked_items[:3]
+    base.save_all(finds, now=agora.now)
+    for item in finds:
         record = scenario.annotations.annotate(
             "iris", item, text="candidate for the comparative study",
             comparison_threshold=0.3,
         )
+        base.save(record.annotation, now=agora.now)
         print(f"  saved + annotated {item.item_id} "
               f"(standing comparison #{record.standing.standing_id})")
+    print(f"Iris's base holds {len(base.visible_items(agora.now))} objects, "
+          f"{len(base.annotations(agora.now))} of them her annotations")
 
     # ------------------------------------------------------------------
     print("\n=== 2. Automatic feeds: new auction material flows in ===")
@@ -95,6 +101,14 @@ def main() -> None:
         ledger = agora.monitor.ledger(source_id)
         print(f"  {source_id}: trust {score:.2f} "
               f"({ledger.contracts} contracts, breach rate {ledger.breach_rate:.0%})")
+
+    # ------------------------------------------------------------------
+    print("\n=== 6. Iris's base is shared with Jason, and no one else ===")
+    shared = query.restricted_to(PERSONAL_DOMAIN)
+    answer = base.answer(shared, now=agora.now, consumer_id="jason")
+    print(f"Jason reads {len(answer.matches)} objects from Iris's base")
+    stranger = base.answer(shared, now=agora.now, consumer_id="stranger")
+    print(f"a stranger is declined: {stranger.decline_reason}")
 
 
 if __name__ == "__main__":

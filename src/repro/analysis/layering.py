@@ -52,7 +52,7 @@ core            -> context data multimodal negotiation net obs optimizer
                    personalization qos query resilience sim
                    social sources trust uncertainty
 workloads       -> core data multimodal obs personalization qos query
-                   sim social uncertainty
+                   sim social sources uncertainty
 """
 
 

@@ -206,9 +206,7 @@ class AsyncMarketplace:
                 state["open"] -= 1
                 if state["open"] == 0:
                     if retrieves:
-                        outcome.plan = standard_plan(
-                            retrieves, k=query.k, tau=query.threshold,
-                        )
+                        outcome.plan = standard_plan(retrieves, k=query.k)
                     callback(outcome)
 
             self.agora.sim.schedule(bid_deadline, close, tag=f"close:{cfp.job_id}")

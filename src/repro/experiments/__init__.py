@@ -2,32 +2,27 @@
 
 Public API:
 
-- :func:`summarize`, :class:`Summary`, :func:`relative_improvement`,
-  :func:`win_rate`.
+- :func:`summarize`, :class:`Summary`, :func:`win_rate`, :func:`ndcg`.
 - :func:`render_table`.
-- :class:`ExperimentResult`, :class:`ExperimentSuite`.
+- :class:`ExperimentResult`, :func:`render_run_dashboard`.
 """
 
 from repro.experiments.metrics import (
     Summary,
-    mann_whitney_p,
-    relative_improvement,
+    ndcg,
     summarize,
     win_rate,
 )
 from repro.experiments.runner import (
     ExperimentResult,
-    ExperimentSuite,
     render_run_dashboard,
 )
 from repro.experiments.tables import render_table
 
 __all__ = [
     "ExperimentResult",
-    "ExperimentSuite",
     "Summary",
-    "mann_whitney_p",
-    "relative_improvement",
+    "ndcg",
     "render_run_dashboard",
     "render_table",
     "summarize",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -15,9 +15,6 @@ class Summary:
     mean: float
     ci: float
     n: int
-
-    def __str__(self) -> str:
-        return f"{self.mean:.3f}±{self.ci:.3f}"
 
 
 def summarize(values: Sequence[float], z: float = 1.96) -> Summary:
@@ -32,13 +29,6 @@ def summarize(values: Sequence[float], z: float = 1.96) -> Summary:
     return Summary(mean=mean, ci=z * sem, n=int(array.size))
 
 
-def relative_improvement(treatment: float, baseline: float) -> float:
-    """(treatment − baseline) / |baseline|; 0 when baseline is 0."""
-    if baseline == 0:
-        return 0.0
-    return (treatment - baseline) / abs(baseline)
-
-
 def win_rate(treatment: Sequence[float], baseline: Sequence[float]) -> float:
     """Fraction of paired trials where treatment strictly beats baseline."""
     treatment = list(treatment)
@@ -51,36 +41,20 @@ def win_rate(treatment: Sequence[float], baseline: Sequence[float]) -> float:
     return wins / len(treatment)
 
 
-def mann_whitney_p(treatment: Sequence[float], baseline: Sequence[float]) -> float:
-    """One-sided Mann-Whitney p-value for "treatment > baseline".
+def ndcg(gains: Sequence[float], k: Optional[int] = None) -> float:
+    """Normalised discounted cumulative gain of ``gains`` in ranked order.
 
-    Uses scipy when available; falls back to a normal approximation of
-    the U statistic otherwise.  Returns 1.0 for degenerate inputs.
+    The ideal ranking sorts the same gains in descending order; both are
+    cut at the first ``k`` (all of them when ``k`` is ``None``).  Returns
+    0 for no gains or a zero ideal.
     """
-    treatment = np.asarray(list(treatment), dtype=float)
-    baseline = np.asarray(list(baseline), dtype=float)
-    if treatment.size == 0 or baseline.size == 0:
-        return 1.0
-    try:
-        from scipy.stats import mannwhitneyu
-
-        return float(
-            mannwhitneyu(treatment, baseline, alternative="greater").pvalue
-        )
-    except ImportError:  # pragma: no cover - environment without scipy
-        n1, n2 = treatment.size, baseline.size
-        combined = np.concatenate([treatment, baseline])
-        order = combined.argsort(kind="mergesort")
-        ranks = np.empty_like(order, dtype=float)
-        ranks[order] = np.arange(1, combined.size + 1)
-        for value in np.unique(combined):
-            mask = combined == value
-            if mask.sum() > 1:
-                ranks[mask] = ranks[mask].mean()
-        u = ranks[:n1].sum() - n1 * (n1 + 1) / 2.0
-        mean_u = n1 * n2 / 2.0
-        std_u = np.sqrt(n1 * n2 * (n1 + n2 + 1) / 12.0)
-        if std_u == 0:
-            return 1.0
-        z = (u - mean_u) / std_u
-        return float(0.5 * (1.0 - np.math.erf(z / np.sqrt(2.0))))
+    if k is not None and k < 0:
+        raise ValueError("k must be non-negative")
+    ranked = list(gains)[:k]
+    if not ranked:
+        return 0.0
+    discounts = 1.0 / np.log2(np.arange(2, len(ranked) + 2))
+    ideal_dcg = float(np.dot(sorted(gains, reverse=True)[:k], discounts))
+    if ideal_dcg <= 0:
+        return 0.0
+    return float(np.dot(ranked, discounts)) / ideal_dcg

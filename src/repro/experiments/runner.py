@@ -1,15 +1,13 @@
 """Experiment result collection.
 
 Each benchmark builds an :class:`ExperimentResult`, adds rows, and prints
-the table the experiment index in DESIGN.md promises.  Results can also be
-appended to a report file or written as CSV.
+the table the experiment index in DESIGN.md promises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.experiments.tables import render_table
 from repro.obs.dashboard import render_dashboard
@@ -63,26 +61,6 @@ class ExperimentResult:
             lines.append(f"\n*{note}*")
         return "\n".join(lines)
 
-    def append_to(self, path: Path) -> None:
-        """Append the markdown rendering to a report file."""
-        with open(path, "a") as handle:
-            handle.write("\n" + self.to_markdown() + "\n")
-
-    def to_csv(self) -> str:
-        """Comma-separated rendering (for downstream plotting)."""
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return buffer.getvalue()
-
-    def write_csv(self, path: Path) -> None:
-        """Write the CSV rendering to ``path``."""
-        Path(path).write_text(self.to_csv())
-
 
 def render_run_dashboard(run: Any, title: str = "Run dashboard") -> str:
     """Render the observability dashboard of a finished run.
@@ -98,26 +76,3 @@ def render_run_dashboard(run: Any, title: str = "Run dashboard") -> str:
     return render_dashboard(
         run.sim.metrics, spans=spans, manifest=manifest, title=title
     )
-
-
-class ExperimentSuite:
-    """A collection of experiment results (used by `benchmarks/run_all`)."""
-
-    def __init__(self) -> None:
-        self._results: Dict[str, ExperimentResult] = {}
-
-    def add(self, result: ExperimentResult) -> None:
-        """Register one experiment result under its id."""
-        self._results[result.experiment_id] = result
-
-    def get(self, experiment_id: str) -> ExperimentResult:
-        """Return the result stored under ``experiment_id``."""
-        return self._results[experiment_id]
-
-    def results(self) -> List[ExperimentResult]:
-        """All results, ordered by experiment id."""
-        return [self._results[k] for k in sorted(self._results)]
-
-    def render_all(self) -> str:
-        """Render every collected table, separated by blank lines."""
-        return "\n\n".join(result.render() for result in self.results())

@@ -7,20 +7,19 @@ material as well as other resources" (§9).
 
 Annotating an item does two things here: it records the note (an
 :class:`~repro.data.items.Annotation` object, itself an information item
-that can live in a personal information base), and it spawns or extends a
-standing comparison in the feed service so future material is matched
-against the annotated part automatically.
+that can live in a personal information base), and it spawns a standing
+comparison in the feed service so future material is matched against the
+annotated item automatically.  Parts the system would identify as
+important on its own are not modelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.data.items import Annotation, CompoundObject, InformationItem, make_item_id
+from repro.data.items import Annotation, InformationItem, make_item_id
 from repro.multimodal.feeds import FeedService, StandingQuery
-from repro.uncertainty.matching import ConceptLifter
-from repro.uncertainty.salience import salient_parts
 
 
 @dataclass
@@ -73,41 +72,3 @@ class AnnotationService:
             self.feeds.register(standing)
             record.standing = standing
         return record
-
-    def extend_comparison(
-        self, author_id: str, record: AnnotationRecord, item: InformationItem
-    ) -> None:
-        """Add another object to an annotation's running comparison."""
-        standing = record.standing
-        if standing is None:
-            raise ValueError("annotation has no standing comparison")
-        if standing.owner_id != author_id:
-            raise PermissionError("only the author may modify the comparison")
-        standing.comparison_items.append(item)
-
-    def auto_annotate(
-        self,
-        author_id: str,
-        compound: CompoundObject,
-        lifter: ConceptLifter,
-        k: int = 2,
-        created_at: float = 0.0,
-        comparison_threshold: float = 0.6,
-    ) -> List[AnnotationRecord]:
-        """System-identified important parts → automatic comparisons (§9).
-
-        Detects the ``k`` most salient parts of ``compound`` and annotates
-        each on the author's behalf, spawning standing comparisons exactly
-        as a manual annotation would.
-        """
-        records = []
-        for salient in salient_parts(compound, lifter, k=k):
-            records.append(self.annotate(
-                author_id,
-                salient.part,
-                text=f"[auto] salient part of {compound.item_id} "
-                     f"(salience {salient.salience:.2f})",
-                created_at=created_at,
-                comparison_threshold=comparison_threshold,
-            ))
-        return records

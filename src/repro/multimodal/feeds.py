@@ -68,7 +68,7 @@ class StandingQuery:
         return cls(
             owner_id=query.issuer_id,
             comparison_items=[query.evidence_item()],
-            threshold=threshold if threshold is not None else max(query.threshold, 0.5),
+            threshold=threshold if threshold is not None else 0.5,
             domains=query.target_domains,
         )
 

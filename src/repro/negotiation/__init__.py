@@ -17,11 +17,6 @@ Public API:
 - Subcontracting: :class:`Intermediary`, :class:`SubcontractRecord`.
 """
 
-from repro.negotiation.auctions import (
-    AuctionKind,
-    AuctionOutcome,
-    SealedBidAuction,
-)
 from repro.negotiation.contract_net import (
     Bidder,
     CallForProposals,
@@ -58,9 +53,6 @@ from repro.negotiation.utility import (
 __all__ = [
     "AdditiveUtility",
     "AlternatingOffersProtocol",
-    "AuctionKind",
-    "AuctionOutcome",
-    "SealedBidAuction",
     "Bidder",
     "CallForProposals",
     "ConcessionStrategy",

@@ -6,8 +6,7 @@ Public API:
   :func:`discount_by_trust`.
 - Plans: :class:`CandidatePlan`, :class:`PlanEvaluation`,
   :class:`PlanScorer`, :func:`evaluate_plan`.
-- Pareto: :func:`pareto_front`, :func:`pareto_indices`, :func:`dominates`,
-  :func:`hypervolume`, :func:`regret`.
+- Pareto: :func:`pareto_front`, :func:`pareto_indices`.
 - Search: :class:`ExhaustiveSearch`, :class:`GreedySearch`,
   :class:`LocalSearch`, :class:`SearchResult`, :func:`make_evaluator`.
 - Baselines: :class:`RandomPlanner`, :class:`CostGreedyPlanner`,
@@ -29,19 +28,9 @@ from repro.optimizer.candidates import (
     CandidateEnumerator,
     discount_by_trust,
 )
-from repro.optimizer.parametric import (
-    DEFAULT_REGIMES,
-    LoadRegime,
-    ParametricPlan,
-    ParametricPlanner,
-    scale_candidate,
-)
 from repro.optimizer.pareto import (
-    dominates,
-    hypervolume,
     pareto_front,
     pareto_indices,
-    regret,
 )
 from repro.optimizer.plans import CandidatePlan, PlanEvaluation, PlanScorer, evaluate_plan
 from repro.optimizer.search import (
@@ -59,15 +48,11 @@ __all__ = [
     "CandidateEnumerator",
     "CandidatePlan",
     "CostGreedyPlanner",
-    "DEFAULT_REGIMES",
     "EvolutionarySearch",
     "ExhaustiveSearch",
     "GreedySearch",
-    "LoadRegime",
     "LocalSearch",
     "NegotiatedPlan",
-    "ParametricPlan",
-    "ParametricPlanner",
     "PlanEvaluation",
     "PlanScorer",
     "QualityGreedyPlanner",
@@ -78,12 +63,8 @@ __all__ = [
     "TradingOptimizer",
     "baseline_suite",
     "discount_by_trust",
-    "dominates",
     "evaluate_plan",
-    "hypervolume",
     "make_evaluator",
     "pareto_front",
     "pareto_indices",
-    "regret",
-    "scale_candidate",
 ]

@@ -101,7 +101,7 @@ class CandidatePlan:
             Retrieve(assignment.subquery, assignment.source_id)
             for assignment in self.all_assignments
         ]
-        return standard_plan(leaves, k=query.k, tau=query.threshold)
+        return standard_plan(leaves, k=query.k)
 
     def signature(self) -> tuple:
         """Hashable identity: which sources serve which jobs."""

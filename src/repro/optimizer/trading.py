@@ -148,5 +148,5 @@ class TradingOptimizer:
             result.contracts.append(outcome.contract)
             retrieves.append(Retrieve(subquery, outcome.awarded.executor_id))
         if retrieves:
-            result.plan = standard_plan(retrieves, k=query.k, tau=query.threshold)
+            result.plan = standard_plan(retrieves, k=query.k)
         return result

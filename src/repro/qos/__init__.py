@@ -6,15 +6,14 @@ Public API:
   :func:`scalarize`, :func:`time_utility` — quality measurement.
 - :class:`SLAContract`, :class:`SLAOutcome`, :class:`ContractState` —
   service-level agreements with breach compensation.
-- :class:`FlatPricing`, :class:`RiskPricedPremium`,
-  :class:`CompetitivePricing`, :class:`Quote` — premium pricing policies.
+- :class:`FlatPricing`, :class:`RiskPricedPremium`, :class:`Quote` —
+  premium pricing policies.
 - :class:`ContractMonitor`, :class:`ProviderLedger` — settlement records.
 """
 
 from repro.qos.breach import breach_probability, dimension_breach_probability
 from repro.qos.monitor import ContractMonitor, ProviderLedger
 from repro.qos.pricing import (
-    CompetitivePricing,
     FlatPricing,
     PricingPolicy,
     Quote,
@@ -39,7 +38,6 @@ from repro.qos.vector import (
 
 __all__ = [
     "ALL_DIMENSIONS",
-    "CompetitivePricing",
     "ContractError",
     "ContractMonitor",
     "ContractState",

@@ -89,7 +89,6 @@ class ContractMonitor:
         now_fn: Optional[NowFn] = None,
     ) -> None:
         self._ledgers: Dict[str, ProviderLedger] = defaultdict(ProviderLedger)
-        self._outcomes: List[SLAOutcome] = []
         self._listeners: List[ComplianceListener] = []
         self._metrics = metrics
         self._slos = slos
@@ -129,7 +128,6 @@ class ContractMonitor:
         return outcome
 
     def _record(self, outcome: SLAOutcome) -> None:
-        self._outcomes.append(outcome)
         ledger = self._ledgers[outcome.contract.provider_id]
         ledger.contracts += 1
         if outcome.breached:
@@ -155,31 +153,3 @@ class ContractMonitor:
     def ledger(self, provider_id: str) -> ProviderLedger:
         """The aggregate ledger of ``provider_id``."""
         return self._ledgers[provider_id]
-
-    def outcomes(self, provider_id: Optional[str] = None) -> List[SLAOutcome]:
-        """Settled outcomes, optionally filtered by provider."""
-        if provider_id is None:
-            return list(self._outcomes)
-        return [
-            o for o in self._outcomes if o.contract.provider_id == provider_id
-        ]
-
-    @property
-    def total_contracts(self) -> int:
-        """Number of settlements recorded."""
-        return len(self._outcomes)
-
-    @property
-    def overall_breach_rate(self) -> float:
-        """Breach fraction across all recorded settlements."""
-        if not self._outcomes:
-            return 0.0
-        return sum(1 for o in self._outcomes if o.breached) / len(self._outcomes)
-
-    def consumer_spend(self, consumer_id: str) -> float:
-        """Net amount ``consumer_id`` paid across all its contracts."""
-        return sum(
-            o.consumer_net_cost
-            for o in self._outcomes
-            if o.contract.consumer_id == consumer_id
-        )

@@ -1,14 +1,12 @@
 """SLA pricing policies.
 
 The premium of an SLA should reflect "the risk/uncertainty of the requested
-service" (§3, citing Gravelle & Rees).  We provide three policies so the
+service" (§3, citing Gravelle & Rees).  We provide two policies so the
 T3 experiment can compare them:
 
 - :class:`FlatPricing` — a fixed premium regardless of risk (naive baseline).
 - :class:`RiskPricedPremium` — premium = expected compensation payout times
   a risk loading, the actuarially fair price plus margin.
-- :class:`CompetitivePricing` — risk-priced, then discounted by market
-  pressure (number of competing providers).
 """
 
 from __future__ import annotations
@@ -107,36 +105,4 @@ class RiskPricedPremium(PricingPolicy):
         base_price = base_cost * self.margin
         compensation = self.compensation_multiple * base_price
         premium = breach_probability * compensation * (1.0 + self.loading)
-        return Quote(base_price=base_price, premium=premium, compensation=compensation)
-
-
-@dataclass
-class CompetitivePricing(PricingPolicy):
-    """Risk-priced, then discounted when many providers compete.
-
-    The discount is ``1 / (1 + competition_pressure × (competitors - 1))``
-    applied to the margin portion of the price, never below cost.
-    """
-
-    margin: float = 1.3
-    loading: float = 0.25
-    compensation_multiple: float = 2.0
-    competition_pressure: float = 0.1
-    competitors: int = 1
-
-    def quote(
-        self,
-        requirement: QoSRequirement,
-        base_cost: float,
-        breach_probability: float,
-    ) -> Quote:
-        """Price one job under this policy."""
-        self._check(base_cost, breach_probability)
-        if self.competitors < 1:
-            raise ValueError("competitors must be >= 1")
-        discount = 1.0 / (1.0 + self.competition_pressure * (self.competitors - 1))
-        effective_margin = 1.0 + (self.margin - 1.0) * discount
-        base_price = base_cost * effective_margin
-        compensation = self.compensation_multiple * base_price
-        premium = breach_probability * compensation * (1.0 + self.loading * discount)
         return Quote(base_price=base_price, premium=premium, compensation=compensation)

@@ -4,11 +4,11 @@ Public API:
 
 - :class:`Query`, :class:`Subquery`, :class:`QueryKind`, :func:`decompose`.
 - Plan algebra: :class:`Retrieve`, :class:`Merge`, :class:`TopK`,
-  :class:`Threshold`, :func:`standard_plan`.
+  :func:`standard_plan`.
 - :class:`QueryExecutor`, :class:`ExecutionContext`,
   :class:`ExecutionResult`.
 - :class:`RelevanceOracle` — latent ground-truth auditing (completeness,
-  correctness, NDCG, freshness).
+  correctness, freshness).
 """
 
 from repro.query.adaptive import (
@@ -21,13 +21,11 @@ from repro.query.algebra import (
     Merge,
     PlanNode,
     Retrieve,
-    Threshold,
     TopK,
     standard_plan,
 )
 from repro.query.execution import ExecutionContext, ExecutionResult, QueryExecutor
 from repro.query.model import (
-    PruneHint,
     Query,
     QueryKind,
     Subquery,
@@ -43,7 +41,6 @@ __all__ = [
     "ExecutionResult",
     "Merge",
     "PlanNode",
-    "PruneHint",
     "Query",
     "QueryExecutor",
     "Reassignment",
@@ -51,7 +48,6 @@ __all__ = [
     "RelevanceOracle",
     "Retrieve",
     "Subquery",
-    "Threshold",
     "TopK",
     "decompose",
     "fallbacks_from_registry",

@@ -140,7 +140,7 @@ class AdaptiveExecutor:
             new_leaves.append(Retrieve(leaf.subquery, replacement))
         if not new_leaves:
             return plan, [], abandoned
-        return standard_plan(new_leaves, k=query.k, tau=query.threshold), moved, abandoned
+        return standard_plan(new_leaves, k=query.k), moved, abandoned
 
 
 def fallbacks_from_registry(registry, reputation=None) -> FallbackFn:

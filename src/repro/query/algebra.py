@@ -1,9 +1,9 @@
 """Logical/physical plan algebra.
 
 A query plan is a small operator tree: ``Retrieve`` leaves (one subquery
-assigned to one source) combined by ``Merge``, refined by ``Threshold``
-and ``TopK``.  The optimizer (:mod:`repro.optimizer`) chooses the
-``Retrieve`` assignments; the executor walks the tree.
+assigned to one source) combined by ``Merge``, refined by ``TopK``.  The
+optimizer (:mod:`repro.optimizer`) chooses the ``Retrieve`` assignments;
+the executor walks the tree.
 """
 
 from __future__ import annotations
@@ -72,25 +72,8 @@ class TopK(PlanNode):
         self.children = [self.child]
 
 
-@dataclass
-class Threshold(PlanNode):
-    """Keep results with calibrated probability >= tau."""
-
-    child: PlanNode
-    tau: float
-    children: List[PlanNode] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must be in [0, 1]")
-        self.children = [self.child]
-
-
-def standard_plan(assignments: Sequence[Retrieve], k: int, tau: float = 0.0) -> PlanNode:
-    """The canonical shape: Merge → Threshold → TopK."""
+def standard_plan(assignments: Sequence[Retrieve], k: int) -> PlanNode:
+    """The canonical shape: Merge → TopK."""
     if not assignments:
         raise ValueError("plan needs at least one retrieval")
-    node: PlanNode = Merge(children=list(assignments))
-    if tau > 0.0:
-        node = Threshold(node, tau)
-    return TopK(node, k)
+    return TopK(Merge(children=list(assignments)), k)

@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.obs.spans import NULL_TRACER, SpanTracer
 from repro.qos.vector import QoSVector
-from repro.query.algebra import Merge, PlanNode, Retrieve, Threshold, TopK
-from repro.query.model import PruneHint, Query, Subquery
+from repro.query.algebra import Merge, PlanNode, Retrieve, TopK
+from repro.query.model import Query, Subquery
 from repro.query.oracle import RelevanceOracle
 from repro.resilience.hedging import HedgeOutcome
 from repro.resilience.runtime import ResilienceRuntime
@@ -176,30 +176,14 @@ class QueryExecutor:
         return results, elapsed, answer
 
     # ------------------------------------------------------------------
-    def _identity_calibration(self) -> bool:
-        """Whether calibrated probability is exactly the clipped raw score.
 
-        Only then is pushing ``Threshold``/``TopK`` cutoffs down to the
-        sources provably lossless: the plan filters on *probability*, the
-        source filters on *score*, and the two agree iff the mapping is
-        the identity.  A fitted calibrator may be non-monotone, so no
-        cutoff is pushed past it.
-        """
-        calibrator = self.context.calibrator
-        return calibrator is None or not calibrator.is_fitted
-
-    def _run(
-        self,
-        node: PlanNode,
-        answers: List[SourceAnswer],
-        hint: Optional[PruneHint] = None,
-    ):
+    def _run(self, node: PlanNode, answers: List[SourceAnswer]):
         if isinstance(node, Retrieve):
-            return self._run_retrieve(node, answers, hint)
+            return self._run_retrieve(node, answers)
         if isinstance(node, Merge):
             with self._tracer.span("merge", children=len(node.children)) as span:
                 child_outputs = [
-                    self._run(child, answers, hint) for child in node.children
+                    self._run(child, answers) for child in node.children
                 ]
                 merged = UncertainResultSet()
                 for result_set, __ in child_outputs:
@@ -212,49 +196,23 @@ class QueryExecutor:
                 )
                 span.annotate(elapsed=elapsed, matches=len(merged.items()))
             return merged, elapsed
-        if isinstance(node, Threshold):
-            child_hint = hint
-            if self._identity_calibration():
-                previous = hint if hint is not None else PruneHint()
-                child_hint = PruneHint(
-                    score_floor=max(previous.score_floor, node.tau),
-                    k_cap=previous.k_cap,
-                )
-            results, elapsed = self._run(node.child, answers, child_hint)
-            return results.filter_confidence(node.tau), elapsed
         if isinstance(node, TopK):
-            child_hint = hint
-            if self._identity_calibration():
-                previous = hint if hint is not None else PruneHint()
-                k_cap = (
-                    node.k
-                    if previous.k_cap is None
-                    else min(previous.k_cap, node.k)
-                )
-                child_hint = PruneHint(
-                    score_floor=previous.score_floor, k_cap=k_cap
-                )
-            results, elapsed = self._run(node.child, answers, child_hint)
+            results, elapsed = self._run(node.child, answers)
             return results.top_k(node.k), elapsed
         raise TypeError(f"unknown plan node {type(node).__name__}")
 
-    def _run_retrieve(
-        self,
-        node: Retrieve,
-        answers: List[SourceAnswer],
-        hint: Optional[PruneHint] = None,
-    ):
+    def _run_retrieve(self, node: Retrieve, answers: List[SourceAnswer]):
         runtime = self.context.resilience
         with self._tracer.span(
             "retrieve", source=node.source_id, job=node.job_id
         ) as span:
             if runtime is not None and runtime.enabled:
                 results, elapsed = self._run_retrieve_resilient(
-                    node, answers, runtime, hint
+                    node, answers, runtime
                 )
                 span.annotate(elapsed=elapsed, resilient=True)
                 return results, elapsed
-            answer, cost = self._ask(node.source_id, node.subquery, answers, hint)
+            answer, cost = self._ask(node.source_id, node.subquery, answers)
             if answer.declined:
                 span.annotate(declined=True)
                 return UncertainResultSet(), 0.0
@@ -267,7 +225,6 @@ class QueryExecutor:
         source_id: str,
         subquery: Subquery,
         answers: List[SourceAnswer],
-        hint: Optional[PruneHint] = None,
     ) -> Tuple[SourceAnswer, float]:
         """One request to one source; returns the answer and its time cost.
 
@@ -277,10 +234,7 @@ class QueryExecutor:
         context = self.context
         source = context.registry.source(source_id)
         answer = source.answer(
-            subquery,
-            now=context.now,
-            consumer_id=context.consumer_id,
-            prune=hint,
+            subquery, now=context.now, consumer_id=context.consumer_id
         )
         answers.append(answer)
         round_trip = 2.0 * context.latency_to(source_id)
@@ -317,7 +271,6 @@ class QueryExecutor:
         node: Retrieve,
         answers: List[SourceAnswer],
         runtime: ResilienceRuntime,
-        hint: Optional[PruneHint] = None,
     ):
         """One leaf under retry + failover + hedging + breaker policies.
 
@@ -335,7 +288,7 @@ class QueryExecutor:
 
         def attempt(source_id: str) -> Tuple[SourceAnswer, float]:
             tried.add(source_id)
-            answer, cost = self._ask(source_id, subquery, answers, hint)
+            answer, cost = self._ask(source_id, subquery, answers)
             runtime.record_outcome(source_id, not answer.declined)
             return answer, cost
 

@@ -22,27 +22,6 @@ from repro.qos.vector import QoSRequirement, QoSWeights
 _QUERY_COUNTER = itertools.count()
 
 
-@dataclass(frozen=True)
-class PruneHint:
-    """Cutoffs an enclosing plan node pushes down into retrieval.
-
-    ``score_floor`` is a raw-score lower bound below which a match can
-    never survive the plan (only sound when calibrated probability equals
-    the clipped raw score); ``k_cap`` is the tightest enclosing ``TopK``
-    size.  Sources treat the hint as advisory: applying it must never
-    change the surviving (item, score) pairs, only skip work.
-    """
-
-    score_floor: float = 0.0
-    k_cap: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score_floor <= 1.0:
-            raise ValueError("score_floor must be in [0, 1]")
-        if self.k_cap is not None and self.k_cap < 1:
-            raise ValueError("k_cap must be >= 1")
-
-
 class QueryKind(Enum):
     """What evidence a query carries."""
     SIMILARITY = "similarity"  # match against a reference item
@@ -66,8 +45,6 @@ class Query:
         Restrict to these domains; ``None`` means all domains.
     k:
         Number of results wanted.
-    threshold:
-        Minimum calibrated match probability to include a result.
     requirement / weights:
         The QoS contract bounds and the user's trade-off weights.
     intent_latent:
@@ -80,7 +57,6 @@ class Query:
     terms: Optional[Dict[str, int]] = None
     target_domains: Optional[Tuple[str, ...]] = None
     k: int = 10
-    threshold: float = 0.0
     requirement: QoSRequirement = field(default_factory=QoSRequirement)
     weights: QoSWeights = field(default_factory=QoSWeights)
     issuer_id: str = ""
@@ -90,8 +66,6 @@ class Query:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
         if self.kind in (QueryKind.SIMILARITY, QueryKind.HYBRID) and self.reference_item is None:
             raise ValueError(f"{self.kind.value} query needs a reference_item")
         if self.kind in (QueryKind.TOPIC, QueryKind.HYBRID) and not self.terms:

@@ -11,7 +11,7 @@ metrics are computed through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -124,42 +124,4 @@ class RelevanceOracle:
         )
 
     # ------------------------------------------------------------------
-    def ndcg(
-        self,
-        query: Query,
-        ranking: Sequence[InformationItem],
-        k: Optional[int] = None,
-    ) -> float:
-        """Normalised discounted cumulative gain of a ranking.
 
-        Gains are the graded latent relevances; the ideal ranking sorts
-        the same items by true relevance.
-        """
-        if k is None:
-            k = len(ranking)
-        if k == 0 or not ranking:
-            return 0.0
-        relevances = self.relevance_many(query, ranking).tolist()
-        gains = relevances[:k]
-        discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
-        dcg = float(np.dot(gains, discounts))
-        ideal = sorted(relevances, reverse=True)[:k]
-        ideal_dcg = float(np.dot(ideal, 1.0 / np.log2(np.arange(2, len(ideal) + 2))))
-        if ideal_dcg == 0:
-            return 0.0
-        return dcg / ideal_dcg
-
-    def precision_recall(
-        self,
-        query: Query,
-        returned: Sequence[InformationItem],
-        reachable: Sequence[InformationItem],
-    ) -> Dict[str, float]:
-        """Set-based precision and recall against ground truth."""
-        relevant_returned = len(self.relevant_subset(query, returned))
-        relevant_reachable = len(self.relevant_subset(query, reachable))
-        precision = relevant_returned / len(returned) if returned else 0.0
-        recall = (
-            relevant_returned / relevant_reachable if relevant_reachable else 1.0
-        )
-        return {"precision": precision, "recall": recall}

@@ -56,17 +56,7 @@ class PersonalInformationBase(InformationSource):
     # ------------------------------------------------------------------
     def share_with(self, user_id: str) -> None:
         """Grant ``user_id`` read access (the owner always has access)."""
-        if user_id == self.owner_id:
-            return
         self._shared_with.add(user_id)
-
-    def revoke(self, user_id: str) -> None:
-        """Withdraw a previously granted share."""
-        self._shared_with.discard(user_id)
-
-    def shared_with(self) -> List[str]:
-        """Sorted user ids with read access (excluding the owner)."""
-        return sorted(self._shared_with)
 
     def has_access(self, user_id: str) -> bool:
         """Whether ``user_id`` may read the base."""

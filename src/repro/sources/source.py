@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.data.items import InformationItem
 from repro.net.failures import LoadModel, NodeHealth
 from repro.qos.vector import QoSVector
-from repro.query.model import PruneHint, Subquery
+from repro.query.model import Subquery
 from repro.sim.rng import ScopedStreams
 from repro.sources.index import CollectionIndex
 from repro.uncertainty.matching import CandidateBlock, MatchingEngine
@@ -212,21 +212,12 @@ class InformationSource:
         subquery: Subquery,
         now: float,
         consumer_id: str = "",
-        prune: Optional[PruneHint] = None,
     ) -> SourceAnswer:
         """Evaluate ``subquery`` against the visible collection.
 
         Returns a declined answer when the source refuses to participate.
         Match scores are the source's local engine scores, except that a
         fraction ``error_rate`` of them are corrupted to uniform noise.
-
-        A :class:`~repro.query.model.PruneHint` is a post-filter on the
-        ranked list: the source keeps ``rank[:k_cap]`` and drops scores
-        under the floor, which the enclosing plan nodes would drop
-        anyway.  The hint is honoured only for exact (``error_rate == 0``)
-        sources — ranking happens *before* corruption, so a corrupted
-        score could cross the floor in either direction and the floor
-        filter must then stay on the consumer's side.
         """
         ok, reason = self.accepts(consumer_id, now)
         if not ok:
@@ -237,18 +228,11 @@ class InformationSource:
                 decline_reason=reason,
             )
         n_candidates = self._index.visible_count(now, domain=subquery.domain)
-        k_returned = subquery.k
-        floor = 0.0
-        if prune is not None and self.quality.error_rate == 0.0:
-            if prune.k_cap is not None:
-                k_returned = min(k_returned, prune.k_cap)
-            floor = prune.score_floor
         ranked = self.engine.rank_block_topk(
             subquery.evidence_item(),
             self._block_for(subquery.domain),
-            k_returned,
+            subquery.k,
             limit=n_candidates,
-            score_floor=floor,
         )
         matches: List[Tuple[InformationItem, float]] = []
         if self.quality.error_rate > 0.0:

@@ -2,9 +2,8 @@
 
 Public API:
 
-- Similarity primitives: :func:`cosine_similarity`,
-  :func:`jaccard_similarity`, :func:`weighted_jaccard`, :func:`bag_cosine`,
-  :class:`EnsembleSimilarity`; the compact text layout
+- Similarity primitives: :func:`bag_cosine`,
+  :func:`nonnegative_cosine`, :func:`dot_kernel`; the compact text layout
   :class:`CompactBag`, :class:`TermIds`, :class:`TermColumns`,
   :func:`compact_cosine`.
 - Matching: :class:`MatchingEngine`, :class:`TextMatcher`,
@@ -15,8 +14,7 @@ Public API:
 - Calibration: :class:`BinnedCalibrator`,
   :func:`expected_calibration_error`, :func:`ranking_auc`,
   :func:`pool_adjacent_violators`.
-- Results: :class:`UncertainMatch`, :class:`UncertainResultSet`,
-  :func:`merge_all`.
+- Results: :class:`UncertainMatch`, :class:`UncertainResultSet`.
 - Risk: :class:`RiskProfile`, :func:`risk_averse`, :func:`risk_neutral`,
   :func:`risk_seeking`.
 - Estimates: :class:`UncertainEstimate`.
@@ -41,21 +39,15 @@ from repro.uncertainty.matching import (
     TextMatcher,
     build_matching_engine,
 )
-from repro.uncertainty.results import UncertainMatch, UncertainResultSet, merge_all
+from repro.uncertainty.results import UncertainMatch, UncertainResultSet
 from repro.uncertainty.risk import (
     RiskProfile,
     risk_averse,
     risk_neutral,
     risk_seeking,
 )
-from repro.uncertainty.salience import (
-    SalientPart,
-    concept_peakedness,
-    salient_parts,
-)
 from repro.uncertainty.similarity import (
     CompactBag,
-    EnsembleSimilarity,
     TermColumns,
     TermIds,
     bag_cosine,
@@ -63,12 +55,9 @@ from repro.uncertainty.similarity import (
     batch_dot_kernel,
     batch_nonnegative_cosine,
     compact_cosine,
-    cosine_similarity,
     dot_kernel,
-    jaccard_similarity,
     nonnegative_cosine,
     sublinear_tf,
-    weighted_jaccard,
 )
 
 __all__ = [
@@ -80,11 +69,9 @@ __all__ = [
     "LruCache",
     "ConceptLifter",
     "CrossTypeMatcher",
-    "EnsembleSimilarity",
     "MatchingEngine",
     "MediaMatcher",
     "RiskProfile",
-    "SalientPart",
     "TermColumns",
     "TermIds",
     "TextMatcher",
@@ -98,18 +85,12 @@ __all__ = [
     "build_matching_engine",
     "compact_cosine",
     "dot_kernel",
-    "concept_peakedness",
-    "cosine_similarity",
     "expected_calibration_error",
-    "jaccard_similarity",
-    "merge_all",
     "nonnegative_cosine",
     "pool_adjacent_violators",
     "ranking_auc",
     "risk_averse",
-    "salient_parts",
     "risk_neutral",
     "risk_seeking",
     "sublinear_tf",
-    "weighted_jaccard",
 ]

@@ -4,16 +4,12 @@
 used by query optimizers" (§2).  The optimizer therefore works with
 interval/moment estimates instead of point values: an
 :class:`UncertainEstimate` carries a mean, a standard deviation and hard
-bounds, supports the arithmetic needed to compose plan estimates, and can
-be sampled for Monte-Carlo plan evaluation.
+bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,7 +21,7 @@ class UncertainEstimate:
     mean / std:
         First two moments of the belief.
     low / high:
-        Hard support bounds (samples are clipped into them).
+        Hard support bounds.
     """
 
     mean: float
@@ -40,110 +36,3 @@ class UncertainEstimate:
             raise ValueError("low must not exceed high")
         if not self.low <= self.mean <= self.high:
             raise ValueError("mean must lie within [low, high]")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def exact(cls, value: float) -> "UncertainEstimate":
-        """A point estimate with zero uncertainty."""
-        return cls(mean=value, std=0.0, low=value, high=value)
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "UncertainEstimate":
-        """Moment-match an estimate from observed samples."""
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
-            raise ValueError("need at least one sample")
-        return cls(
-            mean=float(samples.mean()),
-            std=float(samples.std(ddof=1)) if samples.size > 1 else 0.0,
-            low=float(samples.min()),
-            high=float(samples.max()),
-        )
-
-    @property
-    def relative_error(self) -> float:
-        """Coefficient of variation (std / |mean|); inf for zero mean."""
-        if self.mean == 0:
-            return float("inf") if self.std > 0 else 0.0
-        return self.std / abs(self.mean)
-
-    # ------------------------------------------------------------------
-    def __add__(self, other: "UncertainEstimate") -> "UncertainEstimate":
-        """Sum of independent quantities."""
-        if not isinstance(other, UncertainEstimate):
-            return NotImplemented
-        return UncertainEstimate(
-            mean=self.mean + other.mean,
-            std=float(np.hypot(self.std, other.std)),
-            low=self.low + other.low,
-            high=self.high + other.high,
-        )
-
-    def scale(self, factor: float) -> "UncertainEstimate":
-        """Multiply by a non-negative constant."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return UncertainEstimate(
-            mean=self.mean * factor,
-            std=self.std * factor,
-            low=self.low * factor,
-            high=self.high * factor,
-        )
-
-    def combine_max(self, other: "UncertainEstimate") -> "UncertainEstimate":
-        """Conservative estimate of max(X, Y) for parallel composition.
-
-        Uses the exact mean under an independence + normality approximation
-        would be heavier; we keep the pessimistic but cheap bound:
-        mean = max of means, std = larger std.
-        """
-        return UncertainEstimate(
-            mean=max(self.mean, other.mean),
-            std=max(self.std, other.std),
-            low=max(self.low, other.low),
-            high=max(self.high, other.high),
-        )
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one value (normal, clipped to the support)."""
-        if self.std == 0:
-            return float(np.clip(self.mean, self.low, self.high))
-        return float(np.clip(rng.normal(self.mean, self.std), self.low, self.high))
-
-    def quantile(self, q: float) -> float:
-        """Normal-approximation quantile, clipped to the support."""
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        if self.std == 0:
-            return float(np.clip(self.mean, self.low, self.high))
-        # Inverse error function via numpy (erfinv through special-free approx).
-        z = _normal_quantile(q)
-        return float(np.clip(self.mean + z * self.std, self.low, self.high))
-
-
-def _normal_quantile(q: float) -> float:
-    """Acklam's rational approximation of the standard normal quantile."""
-    a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
-    b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00]
-    p_low = 0.02425
-    if q < p_low:
-        u = np.sqrt(-2.0 * np.log(q))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    if q > 1 - p_low:
-        u = np.sqrt(-2.0 * np.log(1.0 - q))
-        return -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    u = q - 0.5
-    t = u * u
-    return (((((a[0] * t + a[1]) * t + a[2]) * t + a[3]) * t + a[4]) * t + a[5]) * u / (
-        ((((b[0] * t + b[1]) * t + b[2]) * t + b[3]) * t + b[4]) * t + 1.0
-    )

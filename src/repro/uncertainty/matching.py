@@ -15,14 +15,14 @@ This module answers all three:
 - :class:`CompoundMatcher` — recursive best-part alignment with weights.
 - :class:`MatchingEngine` — dispatches on item types.
 
-Every matcher exposes a pairwise ``score``; the leaf matchers also have
-a batched ``score_many``, and :class:`CandidateBlock` batches all of them
-(compound alignment included) over a prepared pool.  The batch path
+Every matcher exposes a pairwise ``score``; :class:`CandidateBlock`
+batches all of them (compound alignment included) over a pool prepared
+by :meth:`MatchingEngine.prepare`.  The batch path
 computes query-side state (TF bag, lift, feature vector) once per call
 instead of once per pair, scores candidates through the einsum and
 term-column kernels of :mod:`repro.uncertainty.similarity`, and memoizes
 per-item derived state in bounded LRU caches.  The contract — enforced by
-property tests — is *exact* float parity: ``score_many(q, cs)[i]`` is
+property tests — is *exact* float parity: ``prepare(cs).score(q)[i]`` is
 bitwise equal to ``score(q, cs[i])``, so ``rank_block`` and
 ``rank_pairwise`` return identical lists.
 """
@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.data.features import FeatureExtractor
 from repro.data.items import (
+    Annotation,
     CompoundObject,
     InformationItem,
     MediaObject,
@@ -144,13 +145,6 @@ class TextMatcher:
         """Similarity score for one pair, in [0, 1]."""
         return compact_cosine(self._bag(query), self._bag(candidate))
 
-    def score_many(
-        self, query: TextDocument, candidates: Sequence[TextDocument]
-    ) -> np.ndarray:
-        """Scores of ``query`` against each candidate (one column pass)."""
-        columns = TermColumns([self._bag(candidate) for candidate in candidates])
-        return columns.cosine(self._bag(query))
-
 
 class MediaMatcher:
     """Scores media/media pairs over one observable feature set."""
@@ -175,16 +169,6 @@ class MediaMatcher:
         a = self._features(query)
         b = self._features(candidate)
         return float((1.0 + dot_kernel(a, b)) / 2.0)
-
-    def score_many(
-        self, query: MediaObject, candidates: Sequence[MediaObject]
-    ) -> np.ndarray:
-        """Scores of ``query`` against each candidate (one batched dot)."""
-        if not candidates:
-            return np.zeros(0)
-        query_features = self._features(query)
-        matrix = np.stack([self._features(candidate) for candidate in candidates])
-        return (1.0 + batch_dot_kernel(matrix, query_features)) / 2.0
 
 
 class ConceptLifter:
@@ -257,6 +241,10 @@ class ConceptLifter:
             if vector_total <= 0 or not np.isfinite(vector_total):
                 return self._uniform(dimensions)
             return vector / vector_total
+        if isinstance(item, Annotation):
+            # A note's free text shares no term with the vocabulary, so it
+            # carries no concept evidence: the uninformative lift.
+            return self._uniform(self.vocabulary.topic_space.n_topics)
         raise TypeError(f"cannot lift item of type {type(item).__name__}")
 
     def lift(self, item: InformationItem) -> np.ndarray:
@@ -294,16 +282,6 @@ class CrossTypeMatcher:
     def score(self, query: InformationItem, candidate: InformationItem) -> float:
         """Similarity score for one pair, in [0, 1]."""
         return nonnegative_cosine(self.lifter.lift(query), self.lifter.lift(candidate))
-
-    def score_many(
-        self, query: InformationItem, candidates: Sequence[InformationItem]
-    ) -> np.ndarray:
-        """Scores of ``query`` against each candidate (query lifted once)."""
-        if not candidates:
-            return np.zeros(0)
-        query_lift, query_norm = self.lifter.lift_with_norm(query)
-        matrix, norms = self.lifter.lift_many(candidates)
-        return batch_nonnegative_cosine(matrix, norms, query_lift, query_norm)
 
 
 class CompoundMatcher:
@@ -617,9 +595,9 @@ class MatchingEngine:
     media/media → the configured feature set, anything involving a
     compound → part alignment, and mixed plain types → concept-space lift.
 
-    ``rank_block``/``score_many`` run the batched kernels; ``rank_pairwise``
-    retains the one-pair-at-a-time reference path the parity property
-    tests compare against.
+    ``prepare`` and ``rank_block`` run the batched kernels;
+    ``rank_pairwise`` retains the one-pair-at-a-time reference path the
+    parity property tests compare against.
     """
 
     def __init__(
@@ -664,15 +642,6 @@ class MatchingEngine:
         """Build reusable batch-scoring state over ``candidates``."""
         return CandidateBlock(self, candidates)
 
-    def score_many(
-        self, query: InformationItem, candidates: Sequence[InformationItem]
-    ) -> np.ndarray:
-        """Scores of ``query`` against each candidate, batched.
-
-        ``score_many(q, cs)[i] == score(q, cs[i])`` exactly.
-        """
-        return self.prepare(candidates).score(query)
-
     def rank_block(
         self,
         query: InformationItem,
@@ -694,17 +663,14 @@ class MatchingEngine:
         block: CandidateBlock,
         k: int,
         limit: Optional[int] = None,
-        score_floor: float = 0.0,
     ) -> List[Tuple[InformationItem, float]]:
-        """The best ``k`` of :meth:`rank_block`, minus sub-floor entries.
+        """The best ``k`` of :meth:`rank_block`.
 
         One whole-prefix score; the result is
-        ``rank_block(query, block, limit)[:k]`` with entries under
-        ``score_floor`` removed (the plan's ``Threshold`` would drop them
-        anyway).  When ``k < n`` only the candidates scoring at least the
-        k-th best score are sorted; ties at that score are all kept, so
-        the ``(-score, item_id)`` sort settles them exactly as the full
-        sort would.  Every call counts its candidates under
+        ``rank_block(query, block, limit)[:k]``.  When ``k < n`` only the
+        candidates scoring at least the k-th best score are sorted; ties at
+        that score are all kept, so the ``(-score, item_id)`` sort settles
+        them exactly as the full sort would.  Every call counts its candidates under
         ``matching.prune.*``, where scored always equals total.
         """
         if k < 0:
@@ -722,8 +688,6 @@ class MatchingEngine:
                 ((items[i], float(scores[i])) for i in keep),
                 key=lambda pair: (-pair[1], pair[0].item_id),
             )[:k]
-        if score_floor > 0.0:
-            top = [(item, s) for item, s in top if s >= score_floor]
         if self._metrics is not None:
             self._metrics.counter("matching.prune.calls").inc()
             self._metrics.counter("matching.prune.candidates_total").inc(float(n))

@@ -1,17 +1,13 @@
 """Uncertain result sets.
 
-Query answers in the agora carry a calibrated match probability per item
-and support possible-worlds semantics: a result set denotes a distribution
-over "true" answer sets, one per assignment of match/no-match to each
-member.  Expected precision/recall and world sampling follow directly.
+Query answers in the agora carry a calibrated match probability per
+item; a result set keeps them in rank order and merges across sources.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 from repro.data.items import InformationItem
 
@@ -71,38 +67,6 @@ class UncertainResultSet:
             raise ValueError("k must be non-negative")
         return UncertainResultSet(self._matches[:k])
 
-    def filter_confidence(self, threshold: float) -> "UncertainResultSet":
-        """Keep matches with probability >= ``threshold``."""
-        return UncertainResultSet(
-            m for m in self._matches if m.probability >= threshold
-        )
-
-    def expected_relevant(self) -> float:
-        """Expected number of true matches in this set."""
-        return sum(m.probability for m in self._matches)
-
-    def expected_precision(self) -> float:
-        """Expected fraction of returned items that truly match."""
-        if not self._matches:
-            return 0.0
-        return self.expected_relevant() / len(self._matches)
-
-    def expected_recall(self, total_relevant: float) -> float:
-        """Expected fraction of all relevant items returned.
-
-        ``total_relevant`` is the (estimated) number of relevant items in
-        the whole agora; values < expected_relevant clip recall at 1.
-        """
-        if total_relevant <= 0:
-            return 1.0 if not self._matches else 0.0
-        return min(1.0, self.expected_relevant() / total_relevant)
-
-    def sample_world(self, rng: np.random.Generator) -> List[InformationItem]:
-        """Draw one possible world: each match included w.p. probability."""
-        return [
-            m.item for m in self._matches if rng.random() < m.probability
-        ]
-
     # ------------------------------------------------------------------
     def merge(self, other: "UncertainResultSet") -> "UncertainResultSet":
         """Union of two result sets.
@@ -117,20 +81,3 @@ class UncertainResultSet:
             if current is None or match.probability > current.probability:
                 best[match.item.item_id] = match
         return UncertainResultSet(best.values())
-
-    def reweighted(self, factor: float) -> "UncertainResultSet":
-        """Scale all probabilities by ``factor`` (clipped to [0, 1])."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return UncertainResultSet(
-            replace(m, probability=min(1.0, m.probability * factor))
-            for m in self._matches
-        )
-
-
-def merge_all(result_sets: Sequence[UncertainResultSet]) -> UncertainResultSet:
-    """Merge many result sets (associative, order-independent)."""
-    merged = UncertainResultSet()
-    for result_set in result_sets:
-        merged = merged.merge(result_set)
-    return merged

@@ -4,23 +4,23 @@ Iris is "a young researcher investigating the different styles of folk
 jewelry worn across Europe"; Jason works "on traditional dance forms" at
 another institution.  This module builds the scenario on top of a live
 agora: the two profiles, their friendship, Iris's standing feeds over
-auction catalogs and magazines, and her personal information base.
+auction catalogs and magazines, and her personal information base, which
+she shares with Jason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
 
 from repro.core.agora import Agora
 from repro.core.consumer import Consumer
-from repro.data.items import InformationItem
 from repro.multimodal.annotations import AnnotationService
 from repro.personalization.profile import UserProfile
 from repro.personalization.store import ProfileStore
 from repro.qos.vector import QoSWeights
 from repro.social.graph import SocialGraph
 from repro.social.privacy import PrivacyRegistry
+from repro.sources.personal import PersonalInformationBase
 from repro.uncertainty.risk import risk_averse, risk_seeking
 from repro.workloads.queries import QueryWorkloadGenerator
 
@@ -74,12 +74,8 @@ class IrisScenario:
     profile_store: ProfileStore
     annotations: AnnotationService
     workload: QueryWorkloadGenerator
-    #: Iris's personal information base: items she saved, plus annotations
-    personal_base: Dict[str, List[InformationItem]] = field(default_factory=dict)
-
-    def save_to_base(self, user_id: str, item: InformationItem) -> None:
-        """Store an item in a user's personal information base."""
-        self.personal_base.setdefault(user_id, []).append(item)
+    #: Iris's personal information base, shared with Jason
+    personal_base: PersonalInformationBase
 
 
 def build_iris_scenario(agora: Agora) -> IrisScenario:
@@ -95,6 +91,11 @@ def build_iris_scenario(agora: Agora) -> IrisScenario:
     store.save(iris.active_profile())
     store.save(jason.active_profile())
 
+    base = PersonalInformationBase(
+        "iris", agora.engine, agora.sim.rng.spawn("iris-pib"),
+    )
+    base.share_with("jason")
+
     annotations = AnnotationService(feeds=agora.feeds)
     workload = QueryWorkloadGenerator(
         agora.topic_space, agora.vocabulary,
@@ -109,4 +110,5 @@ def build_iris_scenario(agora: Agora) -> IrisScenario:
         profile_store=store,
         annotations=annotations,
         workload=workload,
+        personal_base=base,
     )

@@ -97,6 +97,35 @@ class TestReport:
         assert status == 0
         assert "outside the exception table: 0 functions" in text
 
+    def test_stale_function_entries_fail(self, reach):
+        exceptions = (
+            ("fixpkg.mod.Widget.never", "a"),
+            ("fixpkg.mod.unreached", "b"),
+            ("fixpkg.mod.excused", "c"),
+            ("field:unused", "d"),
+            ("fixpkg.mod.missing", "names no function"),
+            ("fixpkg.mod.reached", "names a reached function"),
+        )
+        status, text = _report(reach, exceptions=exceptions)
+        assert status == 1
+        assert "outside the exception table: 0 functions" in text
+        stale = text.split("exceptions that cover nothing unreached or unset: 2")[1]
+        assert stale.split() == ["fixpkg.mod.missing", "fixpkg.mod.reached"]
+
+    def test_stale_field_entries_fail(self, reach):
+        exceptions = (
+            ("fixpkg.mod.Widget.never", "a"),
+            ("fixpkg.mod.unreached", "b"),
+            ("fixpkg.mod.excused", "c"),
+            ("field:unused", "d"),
+            ("field:used", "a field the consumer sets"),
+            ("field:missing", "names no field"),
+        )
+        status, text = _report(reach, exceptions=exceptions)
+        assert status == 1
+        stale = text.split("exceptions that cover nothing unreached or unset: 2")[1]
+        assert stale.split() == ["field:used", "field:missing"]
+
     def test_failed_consumer_exits_two(self, reach):
         status, text = _report(reach, consumers=(("fixture", ("consumer.py", "3"), 0),))
         assert status == 2

@@ -1,13 +1,9 @@
 """Tests for experiment metrics helpers."""
 
+import numpy as np
 import pytest
 
-from repro.experiments import (
-    mann_whitney_p,
-    relative_improvement,
-    summarize,
-    win_rate,
-)
+from repro.experiments import ndcg, summarize, win_rate
 
 
 class TestSummarize:
@@ -27,45 +23,10 @@ class TestSummarize:
         assert summary.ci > 0
         assert summary.n == 3
 
-    def test_str_format(self):
-        assert "±" in str(summarize([1.0, 2.0]))
-
     def test_tighter_ci_with_more_data(self):
         narrow = summarize([1.0, 2.0] * 50)
         wide = summarize([1.0, 2.0])
         assert narrow.ci < wide.ci
-
-
-class TestImprovement:
-    def test_positive(self):
-        assert relative_improvement(1.5, 1.0) == pytest.approx(0.5)
-
-    def test_negative(self):
-        assert relative_improvement(0.5, 1.0) == pytest.approx(-0.5)
-
-    def test_zero_baseline(self):
-        assert relative_improvement(1.0, 0.0) == 0.0
-
-
-class TestMannWhitney:
-    def test_clear_separation_significant(self):
-        treatment = [0.9, 0.85, 0.95, 0.88, 0.92] * 4
-        baseline = [0.5, 0.45, 0.55, 0.48, 0.52] * 4
-        assert mann_whitney_p(treatment, baseline) < 0.01
-
-    def test_identical_distributions_not_significant(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        a = rng.random(50)
-        b = rng.random(50)
-        assert mann_whitney_p(list(a), list(b)) > 0.05
-
-    def test_wrong_direction_not_significant(self):
-        assert mann_whitney_p([0.1, 0.2], [0.8, 0.9]) > 0.5
-
-    def test_empty_degenerate(self):
-        assert mann_whitney_p([], [1.0]) == 1.0
 
 
 class TestWinRate:
@@ -84,3 +45,25 @@ class TestWinRate:
 
     def test_empty(self):
         assert win_rate([], []) == 0.0
+
+
+class TestNdcg:
+    def test_empty_gains(self):
+        assert ndcg([]) == 0.0
+
+    def test_zero_ideal(self):
+        assert ndcg([0.0, 0.0, 0.0]) == 0.0
+
+    def test_ideal_order_scores_one(self):
+        assert ndcg([3.0, 2.0, 1.0]) == pytest.approx(1.0)
+
+    def test_k_shorter_than_gains(self):
+        # The top 2 of [1, 3, 2] against the ideal top 2, [3, 2].
+        dcg = 1.0 + 3.0 / np.log2(3)
+        ideal = 3.0 + 2.0 / np.log2(3)
+        assert ndcg([1.0, 3.0, 2.0], k=2) == pytest.approx(dcg / ideal)
+        assert ndcg([1.0, 3.0, 2.0], k=0) == 0.0
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            ndcg([1.0], k=-1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentResult, ExperimentSuite, render_table
+from repro.experiments import ExperimentResult, render_table
 
 
 class TestRenderTable:
@@ -56,37 +56,3 @@ class TestExperimentResult:
         markdown = result.to_markdown()
         assert markdown.startswith("### T2: MD")
         assert "| 1 | 2 |" in markdown
-
-    def test_append_to_file(self, tmp_path):
-        result = ExperimentResult("T3", "File", ["x"])
-        result.add_row(42)
-        path = tmp_path / "report.md"
-        result.append_to(path)
-        assert "T3: File" in path.read_text()
-
-    def test_to_csv(self):
-        result = ExperimentResult("T4", "CSV", ["a", "b"])
-        result.add_row(1, "x,y")
-        csv_text = result.to_csv()
-        assert csv_text.splitlines()[0] == "a,b"
-        assert '"x,y"' in csv_text  # commas quoted
-
-    def test_write_csv(self, tmp_path):
-        result = ExperimentResult("T5", "CSV", ["a"])
-        result.add_row(3)
-        path = tmp_path / "out.csv"
-        result.write_csv(path)
-        assert path.read_text().startswith("a")
-
-
-class TestSuite:
-    def test_collect_and_render(self):
-        suite = ExperimentSuite()
-        for exp_id in ("T2", "T1"):
-            result = ExperimentResult(exp_id, "t", ["a"])
-            result.add_row(1)
-            suite.add(result)
-        ids = [r.experiment_id for r in suite.results()]
-        assert ids == ["T1", "T2"]
-        assert "T1" in suite.render_all()
-        assert suite.get("T2").experiment_id == "T2"

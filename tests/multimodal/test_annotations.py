@@ -1,7 +1,5 @@
 """Tests for the annotation service."""
 
-import pytest
-
 from repro.data import Annotation, DomainSpec
 from repro.multimodal import AnnotationService, FeedService
 
@@ -51,25 +49,3 @@ class TestAnnotations:
         similar = _item(corpus_generator, name="auction")
         feeds.on_new_item("auction-src", similar)
         assert len(feeds.drain("iris")) == 1
-
-    def test_extend_comparison(self, corpus_generator, matching_engine):
-        feeds = FeedService(matching_engine)
-        service = AnnotationService(feeds=feeds)
-        target = _item(corpus_generator)
-        record = service.annotate("iris", target)
-        extra = _item(corpus_generator, topic="dance-forms", name="dance")
-        service.extend_comparison("iris", record, extra)
-        assert len(record.standing.comparison_items) == 2
-
-    def test_extend_requires_author(self, corpus_generator, matching_engine):
-        feeds = FeedService(matching_engine)
-        service = AnnotationService(feeds=feeds)
-        record = service.annotate("iris", _item(corpus_generator))
-        with pytest.raises(PermissionError):
-            service.extend_comparison("jason", record, _item(corpus_generator))
-
-    def test_extend_without_standing_rejected(self, corpus_generator):
-        service = AnnotationService()
-        record = service.annotate("iris", _item(corpus_generator))
-        with pytest.raises(ValueError):
-            service.extend_comparison("iris", record, _item(corpus_generator))

@@ -1,4 +1,4 @@
-"""Tests for evolutionary and parametric plan search."""
+"""Tests for evolutionary plan search."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,7 @@ from repro.optimizer import (
     EvolutionarySearch,
     ExhaustiveSearch,
     GreedySearch,
-    LoadRegime,
-    ParametricPlanner,
     make_evaluator,
-    scale_candidate,
 )
 from repro.qos import QoSVector, QoSWeights
 from repro.query import Query, QueryKind
@@ -106,72 +103,3 @@ class TestEvolutionarySearch:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             EvolutionarySearch(RngStreams(1).spawn("evo")).search({}, EVALUATOR)
-
-
-class TestScaleCandidate:
-    def test_scales_time_not_quality(self):
-        rng = np.random.default_rng(1)
-        table = _table(rng)
-        candidate = table[sorted(table)[0]][0]
-        scaled = scale_candidate(candidate, 2.0)
-        assert scaled.expected.response_time == pytest.approx(
-            2 * candidate.expected.response_time,
-        )
-        assert scaled.expected.completeness == candidate.expected.completeness
-        assert scaled.cost.mean == pytest.approx(2 * candidate.cost.mean)
-
-    def test_invalid_multiplier(self):
-        rng = np.random.default_rng(1)
-        table = _table(rng)
-        candidate = table[sorted(table)[0]][0]
-        with pytest.raises(ValueError):
-            scale_candidate(candidate, 0.0)
-
-
-class TestParametricPlanner:
-    def test_prepares_one_plan_per_regime(self):
-        rng = np.random.default_rng(11)
-        table = _table(rng)
-        planner = ParametricPlanner(ExhaustiveSearch())
-        prepared = planner.prepare(table, EVALUATOR)
-        assert set(prepared.by_regime) == {"light", "nominal", "heavy"}
-
-    def test_heavy_load_prefers_faster_sources(self):
-        rng = np.random.default_rng(13)
-        table = _table(rng, n_jobs=3, n_sources=6)
-        planner = ParametricPlanner(ExhaustiveSearch())
-        prepared = planner.prepare(table, EVALUATOR)
-        light = prepared.by_regime["light"].qos.response_time
-        heavy = prepared.by_regime["heavy"].qos.response_time
-        # Under the heavy multiplier the chosen plan's *baseline* time is
-        # no longer than the light-regime choice (it trades quality for speed).
-        assert heavy / 2.5 <= light / 0.7 + 1e-9
-
-    def test_choose_picks_closest_regime(self):
-        rng = np.random.default_rng(15)
-        table = _table(rng)
-        prepared = ParametricPlanner(ExhaustiveSearch()).prepare(table, EVALUATOR)
-        assert prepared.choose(0.8) is prepared.by_regime["light"]
-        assert prepared.choose(1.1) is prepared.by_regime["nominal"]
-        assert prepared.choose(10.0) is prepared.by_regime["heavy"]
-
-    def test_choose_invalid(self):
-        rng = np.random.default_rng(15)
-        prepared = ParametricPlanner(ExhaustiveSearch()).prepare(
-            _table(rng), EVALUATOR,
-        )
-        with pytest.raises(ValueError):
-            prepared.choose(0.0)
-
-    def test_duplicate_regimes_rejected(self):
-        with pytest.raises(ValueError):
-            ParametricPlanner(ExhaustiveSearch(),
-                              regimes=[LoadRegime("x", 1.0), LoadRegime("x", 2.0)])
-
-    def test_empty_regimes_rejected(self):
-        with pytest.raises(ValueError):
-            ParametricPlanner(ExhaustiveSearch(), regimes=[])
-
-    def test_invalid_regime(self):
-        with pytest.raises(ValueError):
-            LoadRegime("bad", 0.0)

@@ -1,7 +1,7 @@
 """Property tests: batch scoring is *exactly* the pairwise path.
 
 The vectorized kernels promise bitwise float parity, not approximate
-agreement: ``score_many(q, cs)[i] == score(q, cs[i])`` down to the last
+agreement: ``prepare(cs).score(q)[i] == score(q, cs[i])`` down to the last
 bit, and ``rank`` returns the identical list (same order, same floats,
 same tie-breaks) as the one-pair-at-a-time reference ``rank_pairwise``.
 Likewise the sorted ``CollectionIndex`` must answer visibility questions
@@ -107,7 +107,7 @@ class TestBatchPairwiseParity:
         engine, pool, queries = parity_world
         candidates = [pool[i] for i in indices]
         query = queries[query_index]
-        batch = engine.score_many(query, candidates)
+        batch = engine.prepare(candidates).score(query)
         single = np.array([engine.score(query, c) for c in candidates])
         assert np.array_equal(batch, single)
 
@@ -120,13 +120,13 @@ class TestBatchPairwiseParity:
     def test_block_prefix_and_extend_parity(
         self, parity_world, split, limit, query_index
     ):
-        """An extended block scores prefixes like a fresh score_many."""
+        """An extended block scores prefixes like a freshly prepared one."""
         engine, pool, queries = parity_world
         query = queries[query_index]
         block = engine.prepare(pool[:split])
         block.extend(pool[split:])
         scores = block.score(query, limit=limit)
-        expected = engine.score_many(query, pool[:limit])
+        expected = engine.prepare(pool[:limit]).score(query)
         assert np.array_equal(scores, expected)
 
 

@@ -1,17 +1,15 @@
 """Property tests: a source's top-k is *exactly* the pairwise ranking.
 
 ``MatchingEngine.rank_block_topk`` scores a block prefix once and sorts
-it; a source answer applies a pushed-down ``PruneHint`` as a post-filter
-on that list; a plan execution pushes ``Threshold``/``TopK`` cutoffs down
-to its sources.  Every result these produce must be bitwise-identical
-(ids, order, floats) to the one the ``rank_pairwise`` oracle produces,
-cut at k and floor-filtered by hand.
+it; a source answer is that list for the source's visible items; a
+``Merge → TopK`` plan merges its sources' answers and cuts at k.  Every
+result these produce must be bitwise-identical (ids, order, floats) to
+the one the ``rank_pairwise`` oracle produces, cut at k by hand.
 
 The worlds generated here are deliberately adversarial: zero-term
 documents (zero bag vectors), cloned documents (exact duplicate scores),
-term-disjoint pools under a high floor (nothing survives), cutoffs
-placed exactly on an achieved score (ties at the threshold), and live
-ingest interleaved between queries (block caches extended and rebuilt
+k placed exactly on an achieved score (ties at the cut), and live ingest
+interleaved between queries (block caches extended and rebuilt
 mid-sequence).
 """
 
@@ -32,7 +30,6 @@ from repro.data import (
 from repro.query import (
     ExecutionContext,
     Merge,
-    PruneHint,
     Query,
     QueryExecutor,
     QueryKind,
@@ -109,7 +106,7 @@ def _zero_doc(index: int) -> TextDocument:
     )
 
 
-def _probe_query(space, vocabulary, tag, seed, k, length=50, threshold=0.0):
+def _probe_query(space, vocabulary, tag, seed, k, length=50):
     """A topic-style query with a *stable* evidence item.
 
     ``Query.evidence_item()`` normally mints a fresh item id per call;
@@ -127,17 +124,13 @@ def _probe_query(space, vocabulary, tag, seed, k, length=50, threshold=0.0):
         kind=QueryKind.SIMILARITY,
         reference_item=probe,
         k=k,
-        threshold=threshold,
         intent_latent=intent,
     )
 
 
-def _expected(engine, query, candidates, k, floor):
-    """The oracle: exhaustive pairwise rank, cut at k, floor-filtered."""
-    top = engine.rank_pairwise(query, candidates)[:k]
-    if floor > 0.0:
-        top = [(item, s) for item, s in top if s >= floor]
-    return top
+def _expected(engine, query, candidates, k):
+    """The oracle: exhaustive pairwise rank, cut at k."""
+    return engine.rank_pairwise(query, candidates)[:k]
 
 
 def _assert_bitwise(actual, expected):
@@ -159,10 +152,9 @@ class TestTopkPairwiseParity:
         zeros=st.integers(min_value=0, max_value=3),
         query_index=st.integers(min_value=0, max_value=7),
         k=st.integers(min_value=1, max_value=14),
-        floor=st.sampled_from([0.0, 0.3, 0.6, 0.97]),
     )
     def test_topk_matches_pairwise_exactly(
-        self, topk_world, indices, clones, zeros, query_index, k, floor
+        self, topk_world, indices, clones, zeros, query_index, k
     ):
         """Block top-k == pairwise oracle on pools with duplicates/zeros."""
         engine, pool, __, queries, *_ = topk_world
@@ -174,10 +166,8 @@ class TestTopkPairwiseParity:
         ]
         candidates += [_zero_doc(j) for j in range(zeros)]
         query = queries[query_index]
-        actual = engine.rank_block_topk(
-            query, engine.prepare(candidates), k, score_floor=floor
-        )
-        _assert_bitwise(actual, _expected(engine, query, candidates, k, floor))
+        actual = engine.rank_block_topk(query, engine.prepare(candidates), k)
+        _assert_bitwise(actual, _expected(engine, query, candidates, k))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -188,16 +178,12 @@ class TestTopkPairwiseParity:
     def test_cutoff_exactly_on_achieved_score(
         self, topk_world, query_index, cut_position, k_offset
     ):
-        """Floor and k placed exactly on an achieved (possibly tied) score."""
+        """k placed exactly on an achieved (possibly tied) score."""
         engine, pool, __, queries, *_ = topk_world
         query = queries[query_index]
-        full = engine.rank_pairwise(query, pool)
-        floor = full[cut_position][1]  # cutoff lands exactly on a score
         k = max(1, cut_position + 1 + k_offset)
-        actual = engine.rank_block_topk(
-            query, engine.prepare(pool), k, score_floor=floor
-        )
-        _assert_bitwise(actual, _expected(engine, query, pool, k, floor))
+        actual = engine.rank_block_topk(query, engine.prepare(pool), k)
+        _assert_bitwise(actual, _expected(engine, query, pool, k))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -232,28 +218,7 @@ class TestTopkPairwiseParity:
         first = next(i for i, (__, s) in enumerate(full) if s == tied)
         k = max(1, first + n_clones // 2 + k_offset)
         actual = engine.rank_block_topk(query, engine.prepare(candidates), k)
-        _assert_bitwise(actual, _expected(engine, query, candidates, k, 0.0))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n_candidates=st.integers(min_value=1, max_value=24),
-        k=st.integers(min_value=1, max_value=8),
-        query_index=st.integers(min_value=0, max_value=7),
-    )
-    def test_all_below_floor_returns_empty(
-        self, topk_world, n_candidates, k, query_index
-    ):
-        """Term-disjoint pools under a high floor keep nothing."""
-        engine, __, off_topic, ___, vocabulary, space = topk_world
-        query = _probe_query(
-            space, vocabulary, f"ap-{query_index}", seed=100 + query_index,
-            k=k, length=40,
-        ).evidence_item()
-        candidates = off_topic[:n_candidates]
-        ranked = engine.rank_block_topk(
-            query, engine.prepare(candidates), k, score_floor=0.995
-        )
-        _assert_bitwise(ranked, _expected(engine, query, candidates, k, 0.995))
+        _assert_bitwise(actual, _expected(engine, query, candidates, k))
 
 
 def _compound(item_id: str, parts) -> CompoundObject:
@@ -328,7 +293,6 @@ class TestSourceLiveIngestParity:
                 st.integers(min_value=0, max_value=10),  # ingest batch size
                 st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
                 st.floats(min_value=0.0, max_value=80.0, allow_nan=False),
-                st.sampled_from([0.0, 0.4, 0.7]),        # pushed-down floor
             ),
             min_size=1, max_size=5,
         ),
@@ -338,13 +302,13 @@ class TestSourceLiveIngestParity:
     def test_answers_match_oracle_over_ingest(
         self, topk_world, batches, seed, error_rate
     ):
-        """A hinted source answer is the oracle's top-k, at every step.
+        """A source answer is the oracle's top-k, at every step.
 
         Items are ingested with freshness lag between probes, so the
         source's block cache is extended and rebuilt mid-sequence.  An
-        exact source returns the pairwise top-k over its visible items,
-        floor-filtered.  A corrupting source ignores the floor: it returns
-        the unfiltered top-k's items in order (scores may be noise).
+        exact source returns the pairwise top-k over its visible items.
+        A corrupting source returns the same items in order (scores may
+        be noise).
         """
         engine, pool, __, ___, vocabulary, space = topk_world
         query = _probe_query(space, vocabulary, f"live-{seed}", seed=seed, k=5)
@@ -360,25 +324,21 @@ class TestSourceLiveIngestParity:
             streams=RngStreams(seed=seed).spawn("live"),
         )
         cursor = 0
-        for size, ingest_now, probe_now, floor in batches:
+        for size, ingest_now, probe_now in batches:
             chunk = pool[cursor:cursor + size]
             cursor += size
             source.ingest(chunk, now=ingest_now)
-            answer = source.answer(
-                subquery, now=probe_now,
-                prune=PruneHint(score_floor=floor, k_cap=subquery.k),
-            )
+            answer = source.answer(subquery, now=probe_now)
             visible = source.visible_items(probe_now, "pool")
             assert answer.candidates_scanned == len(visible)
             assert answer.service_time == (
                 source.STARTUP_TIME + source.PER_CANDIDATE_TIME * len(visible)
             )
             evidence = subquery.evidence_item()
+            expected = _expected(engine, evidence, visible, subquery.k)
             if error_rate == 0.0:
-                expected = _expected(engine, evidence, visible, subquery.k, floor)
                 _assert_bitwise(answer.matches, expected)
             else:
-                expected = _expected(engine, evidence, visible, subquery.k, 0.0)
                 assert [i.item_id for i, __ in answer.matches] == [
                     i.item_id for i, __ in expected
                 ]
@@ -388,36 +348,24 @@ class TestPlanExecutionParity:
     @settings(max_examples=25, deadline=None)
     @given(
         k=st.integers(min_value=1, max_value=8),
-        tau_choice=st.sampled_from(["zero", "mid", "achieved"]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_pushed_down_plan_equals_by_hand(
-        self, topk_world, k, tau_choice, seed
-    ):
-        """Threshold+TopK push-down is lossless.
+    def test_pushed_down_plan_equals_by_hand(self, topk_world, k, seed):
+        """An executed ``Merge → TopK`` plan is its merge, cut at k.
 
-        The full plan hands its sources a ``PruneHint``; the same leaves
-        under a bare ``Merge`` get none, and the threshold and top-k are
-        applied to the merged set by hand.  Both deliver bitwise-identical
-        results.
+        The full plan and the same leaves under a bare ``Merge``, with
+        the top-k applied to the merged set by hand, deliver
+        bitwise-identical results.
         """
         engine, pool, off_topic, __, vocabulary, space = topk_world
-        if tau_choice == "achieved":
-            base = _probe_query(space, vocabulary, f"plan-{seed}", seed=seed, k=k)
-            ranked = engine.rank_pairwise(base.evidence_item(), pool)
-            tau = float(np.clip(ranked[min(k, len(ranked) - 1)][1], 0.0, 1.0))
-        else:
-            tau = {"zero": 0.0, "mid": 0.5}[tau_choice]
         results = {}
-        for pushed in (True, False):
-            query = _probe_query(
-                space, vocabulary, f"plan-{seed}", seed=seed, k=k, threshold=tau
-            )
+        for planned in (True, False):
+            query = _probe_query(space, vocabulary, f"plan-{seed}", seed=seed, k=k)
             registry = SourceRegistry()
             leaves = []
             for domain, items in (("pool", pool), ("thesis", off_topic)):
                 source = InformationSource(
-                    source_id=f"exec-{domain}-{pushed}",
+                    source_id=f"exec-{domain}-{planned}",
                     node_id=f"n-{domain}",
                     domains=[domain],
                     quality=SourceQuality(
@@ -434,8 +382,8 @@ class TestPlanExecutionParity:
                         source_id=source.source_id,
                     )
                 )
-            if pushed:
-                plan = standard_plan(leaves, k=query.k, tau=query.threshold)
+            if planned:
+                plan = standard_plan(leaves, k=query.k)
             else:
                 plan = Merge(children=leaves)
             executor = QueryExecutor(
@@ -443,10 +391,10 @@ class TestPlanExecutionParity:
                     registry=registry, oracle=RelevanceOracle(space), now=5.0
                 )
             )
-            results[pushed] = executor.execute(plan, query)
-        pushed, unhinted = results[True], results[False]
-        by_hand = unhinted.results.filter_confidence(tau).top_k(k)
-        a = [(m.item.item_id, m.score, m.probability) for m in pushed.results.matches]
+            results[planned] = executor.execute(plan, query)
+        whole, merged = results[True], results[False]
+        by_hand = merged.results.top_k(k)
+        a = [(m.item.item_id, m.score, m.probability) for m in whole.results.matches]
         b = [(m.item.item_id, m.score, m.probability) for m in by_hand.matches]
         assert a == b  # ids, order, floats — bitwise
-        assert pushed.response_time == unhinted.response_time
+        assert whole.response_time == merged.response_time

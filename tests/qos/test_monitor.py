@@ -34,33 +34,12 @@ class TestMonitor:
         assert ledger.revenue == pytest.approx(11.0 - 20.0)
         assert ledger.compensation_paid == 20.0
 
-    def test_overall_breach_rate(self):
-        monitor = ContractMonitor()
-        monitor.settle(_contract(), QoSVector(completeness=0.9))
-        monitor.settle(_contract(), QoSVector(completeness=0.5))
-        assert monitor.overall_breach_rate == 0.5
-        assert monitor.total_contracts == 2
-
     def test_compliance_listener_invoked(self):
         monitor = ContractMonitor()
         signals = []
         monitor.on_compliance(lambda provider, value: signals.append((provider, value)))
         monitor.settle(_contract(), QoSVector(completeness=0.9))
         assert signals == [("p1", 1.0)]
-
-    def test_outcomes_filter_by_provider(self):
-        monitor = ContractMonitor()
-        monitor.settle(_contract(provider="a"), QoSVector())
-        monitor.settle(_contract(provider="b"), QoSVector())
-        assert len(monitor.outcomes("a")) == 1
-        assert len(monitor.outcomes()) == 2
-
-    def test_consumer_spend(self):
-        monitor = ContractMonitor()
-        monitor.settle(_contract(consumer="iris"), QoSVector(completeness=0.9))
-        monitor.settle(_contract(consumer="iris"), QoSVector(completeness=0.5))
-        # 11 (clean) + 11 - 20 (breached) = 2
-        assert monitor.consumer_spend("iris") == pytest.approx(2.0)
 
     def test_cancellation_recorded(self):
         monitor = ContractMonitor()
@@ -70,5 +49,4 @@ class TestMonitor:
 
     def test_empty_monitor(self):
         monitor = ContractMonitor()
-        assert monitor.overall_breach_rate == 0.0
         assert monitor.ledger("nobody").contracts == 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.qos import (
-    CompetitivePricing,
     FlatPricing,
     QoSRequirement,
     Quote,
@@ -57,18 +56,3 @@ class TestRiskPricedPremium:
         quote = policy.quote(REQ, 10.0, 0.3)
         fair = 0.3 * quote.compensation
         assert quote.premium == pytest.approx(fair * 1.25)
-
-
-class TestCompetitivePricing:
-    def test_more_competitors_lower_price(self):
-        monopoly = CompetitivePricing(competitors=1).quote(REQ, 10.0, 0.2)
-        crowded = CompetitivePricing(competitors=10).quote(REQ, 10.0, 0.2)
-        assert crowded.total < monopoly.total
-
-    def test_never_below_cost(self):
-        quote = CompetitivePricing(competitors=1000).quote(REQ, 10.0, 0.0)
-        assert quote.base_price >= 10.0
-
-    def test_invalid_competitors(self):
-        with pytest.raises(ValueError):
-            CompetitivePricing(competitors=0).quote(REQ, 10.0, 0.2)

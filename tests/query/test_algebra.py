@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import TextDocument
-from repro.query import Merge, Query, QueryKind, Retrieve, Threshold, TopK, standard_plan
+from repro.query import Merge, Query, QueryKind, Retrieve, TopK, standard_plan
 
 
 def _subquery(domain="museum"):
@@ -31,10 +31,6 @@ class TestNodes:
         with pytest.raises(ValueError):
             TopK(Retrieve(_subquery(), "s1"), k=0)
 
-    def test_threshold_validates_tau(self):
-        with pytest.raises(ValueError):
-            Threshold(Retrieve(_subquery(), "s1"), tau=1.5)
-
 
 class TestTraversal:
     def test_leaves_in_order(self):
@@ -48,11 +44,6 @@ class TestStandardPlan:
         plan = standard_plan([Retrieve(_subquery(), "s1")], k=5)
         assert isinstance(plan, TopK)
         assert isinstance(plan.child, Merge)
-
-    def test_shape_with_threshold(self):
-        plan = standard_plan([Retrieve(_subquery(), "s1")], k=5, tau=0.3)
-        assert isinstance(plan, TopK)
-        assert isinstance(plan.child, Threshold)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -34,10 +34,6 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             Query(kind=QueryKind.SIMILARITY, reference_item=_ref_item(), k=0)
 
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            Query(kind=QueryKind.SIMILARITY, reference_item=_ref_item(), threshold=2.0)
-
     def test_query_ids_unique(self):
         a = Query(kind=QueryKind.SIMILARITY, reference_item=_ref_item())
         b = Query(kind=QueryKind.SIMILARITY, reference_item=_ref_item())
@@ -90,12 +86,10 @@ class TestDecomposition:
         assert len(subqueries) == 1
 
     def test_subquery_inherits_parameters(self):
-        query = Query(
-            kind=QueryKind.SIMILARITY, reference_item=_ref_item(), k=7, threshold=0.4,
-        )
+        query = Query(kind=QueryKind.SIMILARITY, reference_item=_ref_item(), k=7)
         subquery = query.restricted_to("museum")
         assert subquery.k == 7
-        assert subquery.parent.threshold == 0.4
+        assert subquery.parent is query
         assert "museum" in subquery.subquery_id
 
     def test_with_requirement_copies(self):

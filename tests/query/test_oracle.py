@@ -96,34 +96,3 @@ class TestDeliveredQoS:
             query, returned=[], reachable=[], response_time=1.0, now=0.0,
         )
         assert delivered.completeness == 1.0
-
-
-class TestRankingMetrics:
-    def test_ndcg_perfect_ranking(self, oracle, topic_space, vocabulary):
-        query = make_topic_query(topic_space, vocabulary, "folk-jewelry")
-        good = _item(query.intent_latent, item_id="good")
-        bad = _item(topic_space.basis("tourism", 1.0), item_id="bad")
-        assert oracle.ndcg(query, [good, bad]) > oracle.ndcg(query, [bad, good])
-
-    def test_ndcg_bounds(self, oracle, topic_space, vocabulary):
-        query = make_topic_query(topic_space, vocabulary, "folk-jewelry")
-        items = [
-            _item(topic_space.sample(np.random.default_rng(i)), item_id=f"i{i}")
-            for i in range(5)
-        ]
-        value = oracle.ndcg(query, items)
-        assert 0.0 <= value <= 1.0 + 1e-9
-
-    def test_ndcg_empty(self, oracle, topic_space, vocabulary):
-        query = make_topic_query(topic_space, vocabulary, "folk-jewelry")
-        assert oracle.ndcg(query, []) == 0.0
-
-    def test_precision_recall(self, oracle, topic_space, vocabulary):
-        query = make_topic_query(topic_space, vocabulary, "folk-jewelry")
-        good = [_item(query.intent_latent, item_id=f"g{i}") for i in range(3)]
-        bad = _item(topic_space.basis("tourism", 1.0), item_id="bad")
-        metrics = oracle.precision_recall(
-            query, returned=[good[0], bad], reachable=good + [bad],
-        )
-        assert metrics["precision"] == pytest.approx(0.5)
-        assert metrics["recall"] == pytest.approx(1 / 3)

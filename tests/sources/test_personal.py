@@ -63,16 +63,11 @@ class TestAccessControl:
         assert not ok
         assert reason == "private"
 
-    def test_share_and_revoke(self, base):
+    def test_share_grants_access(self, base):
+        assert not base.accepts("jason", now=0.0)[0]
         base.share_with("jason")
         assert base.accepts("jason", now=0.0)[0]
-        assert base.shared_with() == ["jason"]
-        base.revoke("jason")
-        assert not base.accepts("jason", now=0.0)[0]
-
-    def test_sharing_with_owner_is_noop(self, base):
-        base.share_with("iris")
-        assert base.shared_with() == []
+        assert not base.accepts("stranger", now=0.0)[0]
 
 
 class TestQuerying:
@@ -91,6 +86,22 @@ class TestQuerying:
         answer = base.answer(query.restricted_to(PERSONAL_DOMAIN), now=0.0,
                              consumer_id="jason")
         assert not answer.declined
+
+    def test_base_with_annotations_answers(self, base, corpus_generator, topic_space,
+                                           vocabulary):
+        items = _items(corpus_generator, 3)
+        base.save_all(items)
+        for item in items:
+            base.save(Annotation(
+                item_id=make_item_id("annotation"), domain=PERSONAL_DOMAIN,
+                latent=item.latent, author_id="iris", target_item_id=item.item_id,
+                text="compare with the catalog",
+            ))
+        query = make_topic_query(topic_space, vocabulary, "folk-jewelry", k=10)
+        answer = base.answer(query.restricted_to(PERSONAL_DOMAIN), now=0.0,
+                             consumer_id="iris")
+        assert not answer.declined
+        assert len(answer.matches) == 6
 
     def test_stranger_query_declined(self, base, corpus_generator, topic_space, vocabulary):
         base.save_all(_items(corpus_generator, 3))

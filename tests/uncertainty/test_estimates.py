@@ -1,17 +1,11 @@
 """Tests for uncertain estimates."""
 
-import numpy as np
 import pytest
 
 from repro.uncertainty import UncertainEstimate
 
 
 class TestConstruction:
-    def test_exact(self):
-        estimate = UncertainEstimate.exact(5.0)
-        assert estimate.mean == 5.0
-        assert estimate.std == 0.0
-        assert estimate.low == estimate.high == 5.0
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
@@ -24,86 +18,3 @@ class TestConstruction:
     def test_mean_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
             UncertainEstimate(mean=5.0, low=0.0, high=1.0)
-
-    def test_from_samples(self):
-        estimate = UncertainEstimate.from_samples([1.0, 2.0, 3.0])
-        assert estimate.mean == 2.0
-        assert estimate.low == 1.0
-        assert estimate.high == 3.0
-        assert estimate.std == pytest.approx(1.0)
-
-    def test_from_single_sample(self):
-        estimate = UncertainEstimate.from_samples([4.0])
-        assert estimate.std == 0.0
-
-    def test_from_empty_rejected(self):
-        with pytest.raises(ValueError):
-            UncertainEstimate.from_samples([])
-
-
-class TestArithmetic:
-    def test_addition(self):
-        a = UncertainEstimate(mean=1.0, std=3.0)
-        b = UncertainEstimate(mean=2.0, std=4.0)
-        total = a + b
-        assert total.mean == 3.0
-        assert total.std == pytest.approx(5.0)  # hypot(3, 4)
-
-    def test_scale(self):
-        estimate = UncertainEstimate(mean=2.0, std=1.0, low=0.0, high=4.0).scale(3.0)
-        assert estimate.mean == 6.0
-        assert estimate.std == 3.0
-        assert estimate.high == 12.0
-
-    def test_scale_negative_rejected(self):
-        with pytest.raises(ValueError):
-            UncertainEstimate.exact(1.0).scale(-1.0)
-
-    def test_combine_max(self):
-        a = UncertainEstimate(mean=1.0, std=0.5)
-        b = UncertainEstimate(mean=3.0, std=0.2)
-        combined = a.combine_max(b)
-        assert combined.mean == 3.0
-        assert combined.std == 0.5
-
-    def test_relative_error(self):
-        assert UncertainEstimate(mean=10.0, std=1.0).relative_error == 0.1
-        assert UncertainEstimate(mean=0.0, std=1.0).relative_error == float("inf")
-        assert UncertainEstimate(mean=0.0, std=0.0).relative_error == 0.0
-
-
-class TestSampling:
-    def test_zero_std_sample_is_mean(self):
-        rng = np.random.default_rng(0)
-        assert UncertainEstimate.exact(7.0).sample(rng) == 7.0
-
-    def test_samples_respect_bounds(self):
-        rng = np.random.default_rng(0)
-        estimate = UncertainEstimate(mean=0.5, std=5.0, low=0.0, high=1.0)
-        for __ in range(100):
-            assert 0.0 <= estimate.sample(rng) <= 1.0
-
-    def test_sample_mean_tracks_mean(self):
-        rng = np.random.default_rng(0)
-        estimate = UncertainEstimate(mean=10.0, std=2.0)
-        samples = [estimate.sample(rng) for __ in range(3000)]
-        assert np.mean(samples) == pytest.approx(10.0, abs=0.2)
-
-    def test_quantile_median(self):
-        estimate = UncertainEstimate(mean=5.0, std=2.0)
-        assert estimate.quantile(0.5) == pytest.approx(5.0, abs=1e-6)
-
-    def test_quantile_tail_order(self):
-        estimate = UncertainEstimate(mean=5.0, std=2.0)
-        assert estimate.quantile(0.05) < estimate.quantile(0.5) < estimate.quantile(0.95)
-
-    def test_quantile_matches_normal(self):
-        estimate = UncertainEstimate(mean=0.0, std=1.0)
-        assert estimate.quantile(0.975) == pytest.approx(1.96, abs=0.01)
-
-    def test_quantile_invalid(self):
-        with pytest.raises(ValueError):
-            UncertainEstimate.exact(1.0).quantile(0.0)
-
-    def test_quantile_zero_std(self):
-        assert UncertainEstimate.exact(3.0).quantile(0.9) == 3.0

@@ -7,7 +7,7 @@ from repro.data import (
     DomainSpec,
     FeatureExtractor,
 )
-from repro.data.items import CompoundObject, TextDocument, make_item_id
+from repro.data.items import Annotation, CompoundObject, TextDocument, make_item_id
 from repro.uncertainty import ConceptLifter, LruCache, build_matching_engine
 from repro.uncertainty.matching import MediaMatcher, TextMatcher
 
@@ -148,6 +148,17 @@ class TestConceptLifter:
         n = vocabulary.topic_space.n_topics
         assert np.allclose(lifted, np.full(n, 1.0 / n))
 
+    def test_lift_annotation_is_uniform(self, vocabulary, extractor):
+        """An annotation in a personal base used to make every query on
+        that base raise TypeError."""
+        lifter = ConceptLifter(vocabulary, extractor)
+        note = Annotation(
+            item_id=make_item_id("annotation"), domain="d", latent=np.ones(2),
+            text="compare the clasp",
+        )
+        n = vocabulary.topic_space.n_topics
+        assert np.array_equal(lifter.lift(note), np.full(n, 1.0 / n))
+
     def test_lift_is_memoized_and_cleared_on_fit(
         self, vocabulary, extractor, corpus_generator
     ):
@@ -195,20 +206,20 @@ class TestLruCache:
 class TestScoreManyEdges:
     def test_empty_candidates(self, engine, corpus_generator):
         query = corpus_generator.generate(_text_domain(), 1)[0]
-        assert engine.score_many(query, []).shape == (0,)
+        assert engine.prepare([]).score(query).shape == (0,)
         assert engine.rank_block(query, engine.prepare([])) == []
 
     def test_single_candidate_matches_score(self, engine, corpus_generator):
         query = corpus_generator.generate(_text_domain(), 1)[0]
         candidate = corpus_generator.generate(_media_domain(), 1)[0]
-        batch = engine.score_many(query, [candidate])
+        batch = engine.prepare([candidate]).score(query)
         assert batch[0] == engine.score(query, candidate)
 
     def test_compound_query_batch(self, engine, corpus_generator):
         query = corpus_generator.generate(_compound_domain(), 1)[0]
         pool = corpus_generator.generate(_text_domain(), 3) + \
             corpus_generator.generate(_compound_domain("a2"), 2)
-        batch = engine.score_many(query, pool)
+        batch = engine.prepare(pool).score(query)
         single = np.array([engine.score(query, c) for c in pool])
         assert np.array_equal(batch, single)
 

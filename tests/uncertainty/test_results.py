@@ -2,11 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.data import InformationItem
-from repro.uncertainty import UncertainMatch, UncertainResultSet, merge_all
+from repro.uncertainty import UncertainMatch, UncertainResultSet
 
 
 def _item(item_id):
@@ -51,49 +49,6 @@ class TestResultSet:
         with pytest.raises(ValueError):
             UncertainResultSet().top_k(-1)
 
-    def test_filter_confidence(self):
-        results = UncertainResultSet([_match("a", 0.2), _match("b", 0.8)])
-        filtered = results.filter_confidence(0.5)
-        assert [m.item.item_id for m in filtered] == ["b"]
-
-    def test_expected_precision(self):
-        results = UncertainResultSet([_match("a", 0.4), _match("b", 0.8)])
-        assert results.expected_precision() == pytest.approx(0.6)
-
-    def test_expected_precision_empty(self):
-        assert UncertainResultSet().expected_precision() == 0.0
-
-    def test_expected_recall(self):
-        results = UncertainResultSet([_match("a", 0.5), _match("b", 0.5)])
-        assert results.expected_recall(total_relevant=4) == pytest.approx(0.25)
-
-    def test_expected_recall_clips_at_one(self):
-        results = UncertainResultSet([_match("a", 1.0), _match("b", 1.0)])
-        assert results.expected_recall(total_relevant=1) == 1.0
-
-    def test_expected_recall_zero_relevant(self):
-        assert UncertainResultSet().expected_recall(0) == 1.0
-        assert UncertainResultSet([_match("a", 0.5)]).expected_recall(0) == 0.0
-
-    def test_sample_world_extremes(self):
-        rng = np.random.default_rng(0)
-        certain = UncertainResultSet([_match("a", 1.0)])
-        impossible = UncertainResultSet([_match("b", 0.0)])
-        assert len(certain.sample_world(rng)) == 1
-        assert len(impossible.sample_world(rng)) == 0
-
-    def test_sample_world_statistics(self):
-        rng = np.random.default_rng(0)
-        results = UncertainResultSet([_match("a", 0.3)])
-        inclusions = sum(len(results.sample_world(rng)) for __ in range(2000))
-        assert inclusions / 2000 == pytest.approx(0.3, abs=0.05)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), max_size=20))
-    def test_expected_relevant_is_sum(self, probabilities):
-        matches = [_match(f"i{j}", p) for j, p in enumerate(probabilities)]
-        results = UncertainResultSet(matches)
-        assert results.expected_relevant() == pytest.approx(sum(probabilities))
-
 
 class TestMerge:
     def test_merge_disjoint(self):
@@ -109,22 +64,3 @@ class TestMerge:
         assert len(merged) == 1
         assert merged.matches[0].probability == 0.9
         assert merged.matches[0].source_id == "s2"
-
-    def test_merge_all_order_independent(self):
-        sets = [
-            UncertainResultSet([_match("x", 0.5)]),
-            UncertainResultSet([_match("x", 0.9), _match("y", 0.1)]),
-            UncertainResultSet([_match("z", 0.3)]),
-        ]
-        forward = merge_all(sets)
-        backward = merge_all(list(reversed(sets)))
-        assert [m.item.item_id for m in forward] == [m.item.item_id for m in backward]
-
-    def test_reweighted(self):
-        results = UncertainResultSet([_match("a", 0.5)])
-        assert results.reweighted(0.5).matches[0].probability == 0.25
-        assert results.reweighted(4.0).matches[0].probability == 1.0
-
-    def test_reweighted_negative_rejected(self):
-        with pytest.raises(ValueError):
-            UncertainResultSet().reweighted(-1.0)

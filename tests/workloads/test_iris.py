@@ -40,9 +40,12 @@ class TestScenario:
         items = scenario.agora.sources[
             sorted(scenario.agora.sources)[0]
         ].visible_items(now=0.0)
-        scenario.save_to_base("iris", items[0])
-        assert scenario.personal_base.get("iris", []) == [items[0]]
-        assert scenario.personal_base.get("jason", []) == []
+        base = scenario.personal_base
+        base.save(items[0])
+        assert [item.item_id for item in base.visible_items(0.0)] == [items[0].item_id]
+        assert base.owner_id == "iris"
+        assert base.has_access("jason")
+        assert not base.has_access("stranger")
 
     def test_iris_can_shop(self, scenario):
         query = scenario.workload.topic_query("folk-jewelry", k=5, issuer_id="iris")
@@ -50,7 +53,7 @@ class TestScenario:
         assert len(result.ranked_items) > 0
 
     def test_annotation_triggers_comparison(self, scenario):
-        items = scenario.personal_base.get("iris", []) or scenario.agora.sources[
+        items = scenario.personal_base.visible_items(0.0) or scenario.agora.sources[
             sorted(scenario.agora.sources)[0]
         ].visible_items(now=0.0)
         record = scenario.annotations.annotate("iris", items[0], text="note")
