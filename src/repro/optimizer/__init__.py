@@ -6,7 +6,8 @@ Public API:
   :func:`discount_by_trust`.
 - Plans: :class:`CandidatePlan`, :class:`PlanEvaluation`,
   :class:`PlanScorer`, :func:`evaluate_plan`.
-- Pareto: :func:`pareto_front`, :func:`pareto_indices`.
+- Pareto: :func:`pareto_front`, :func:`pareto_indices`, :func:`dominates`,
+  :func:`hypervolume`, :func:`regret`.
 - Search: :class:`ExhaustiveSearch`, :class:`GreedySearch`,
   :class:`LocalSearch`, :class:`SearchResult`, :func:`make_evaluator`.
 - Baselines: :class:`RandomPlanner`, :class:`CostGreedyPlanner`,
@@ -29,8 +30,11 @@ from repro.optimizer.candidates import (
     discount_by_trust,
 )
 from repro.optimizer.pareto import (
+    dominates,
+    hypervolume,
     pareto_front,
     pareto_indices,
+    regret,
 )
 from repro.optimizer.plans import CandidatePlan, PlanEvaluation, PlanScorer, evaluate_plan
 from repro.optimizer.search import (
@@ -63,8 +67,11 @@ __all__ = [
     "TradingOptimizer",
     "baseline_suite",
     "discount_by_trust",
+    "dominates",
     "evaluate_plan",
+    "hypervolume",
     "make_evaluator",
     "pareto_front",
     "pareto_indices",
+    "regret",
 ]

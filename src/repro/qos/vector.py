@@ -13,8 +13,8 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 QUALITY_DIMENSIONS = ("completeness", "freshness", "correctness", "trust")
 ALL_DIMENSIONS = ("response_time",) + QUALITY_DIMENSIONS
@@ -53,6 +53,40 @@ class QoSVector:
                 raise ValueError(f"{dim} must be in [0, 1], got {value}")
 
     # ------------------------------------------------------------------
+    def dominates(self, other: "QoSVector") -> bool:
+        """Strict Pareto dominance: at least as good everywhere, better somewhere."""
+        at_least = self.response_time <= other.response_time and all(
+            getattr(self, dim) >= getattr(other, dim) for dim in QUALITY_DIMENSIONS
+        )
+        strictly = self.response_time < other.response_time or any(
+            getattr(self, dim) > getattr(other, dim) for dim in QUALITY_DIMENSIONS
+        )
+        return at_least and strictly
+
+    def meets(self, requirement: "QoSRequirement") -> bool:
+        """Whether this vector satisfies every bound of ``requirement``."""
+        return not requirement.violated_dimensions(self)
+
+    def as_dict(self) -> Dict[str, float]:
+        """All five dimensions as a plain dictionary."""
+        return {dim: getattr(self, dim) for dim in ALL_DIMENSIONS}
+
+    def clamped(self) -> "QoSVector":
+        """Return a copy with quality dimensions clipped into [0, 1]."""
+        values = {
+            dim: min(1.0, max(0.0, getattr(self, dim))) for dim in QUALITY_DIMENSIONS
+        }
+        return replace(self, **values)
+
+    def worst_case(self, other: "QoSVector") -> "QoSVector":
+        """Pointwise pessimistic combination (used for plan composition)."""
+        return QoSVector(
+            response_time=max(self.response_time, other.response_time),
+            completeness=min(self.completeness, other.completeness),
+            freshness=min(self.freshness, other.freshness),
+            correctness=min(self.correctness, other.correctness),
+            trust=min(self.trust, other.trust),
+        )
 
 
 @dataclass(frozen=True)
@@ -146,6 +180,14 @@ class QoSRequirement:
                 violations.append(dim)
         return violations
 
+    def is_trivial(self) -> bool:
+        """True when no dimension is constrained."""
+        return all(getattr(self, bound) is None for bound, __ in self._BOUNDS)
+
+    def tighten(self, **bounds: float) -> "QoSRequirement":
+        """Return a copy with the given bounds replaced."""
+        return replace(self, **bounds)
+
     def relaxed(self, factor: float) -> "QoSRequirement":
         """Loosen every bound by ``factor`` ∈ [0, 1].
 
@@ -180,3 +222,19 @@ class QoSRequirement:
             ),
         )
 
+    def as_promise(self) -> QoSVector:
+        """The weakest QoS vector that still meets this requirement.
+
+        Unconstrained quality dimensions default to 0 and unconstrained
+        response time to infinity — the promise a provider makes when it
+        signs an SLA at exactly these bounds.
+        """
+        return QoSVector(
+            response_time=(
+                self.max_response_time if self.max_response_time is not None else 0.0
+            ),
+            completeness=self.min_completeness or 0.0,
+            freshness=self.min_freshness or 0.0,
+            correctness=self.min_correctness or 0.0,
+            trust=self.min_trust or 0.0,
+        )

@@ -8,7 +8,10 @@ from repro.optimizer import (
     CandidateAssignment,
     CandidatePlan,
     PlanEvaluation,
+    dominates,
+    hypervolume,
     pareto_front,
+    regret,
 )
 from repro.qos import QoSVector
 from repro.query import Query, QueryKind
@@ -37,6 +40,22 @@ def _evaluation(utility, price):
         plan=plan, qos=QoSVector(), price=price, utility=utility,
         risk_adjusted_utility=utility, breach_risk=0.0,
     )
+
+
+class TestDominance:
+    def test_better_both_dominates(self):
+        assert dominates(_evaluation(0.9, 1.0), _evaluation(0.5, 2.0))
+
+    def test_tradeoff_incomparable(self):
+        a = _evaluation(0.9, 5.0)
+        b = _evaluation(0.5, 1.0)
+        assert not dominates(a, b)
+        assert not dominates(b, a)
+
+    def test_equal_not_dominating(self):
+        a = _evaluation(0.5, 1.0)
+        b = _evaluation(0.5, 1.0)
+        assert not dominates(a, b)
 
 
 class TestFront:
@@ -100,3 +119,38 @@ class TestFrontMatchesReference:
             _same_front_as_reference(
                 [(float(u), float(p)) for u, p in zip(utilities, prices)]
             )
+
+
+class TestHypervolume:
+    def test_single_point(self):
+        volume = hypervolume([_evaluation(0.5, 2.0)], reference_price=10.0)
+        assert volume == pytest.approx((10.0 - 2.0) * 0.5)
+
+    def test_second_point_adds_volume(self):
+        one = hypervolume([_evaluation(0.5, 2.0)], reference_price=10.0)
+        two = hypervolume(
+            [_evaluation(0.5, 2.0), _evaluation(0.9, 6.0)], reference_price=10.0
+        )
+        assert two > one
+
+    def test_points_beyond_reference_ignored(self):
+        volume = hypervolume([_evaluation(0.5, 20.0)], reference_price=10.0)
+        assert volume == 0.0
+
+    def test_invalid_reference(self):
+        with pytest.raises(ValueError):
+            hypervolume([], reference_price=0.0)
+
+
+class TestRegret:
+    def test_chosen_best_no_regret(self):
+        evaluations = [_evaluation(0.9, 1.0), _evaluation(0.5, 1.0)]
+        assert regret(evaluations[0], evaluations) == 0.0
+
+    def test_regret_is_gap(self):
+        evaluations = [_evaluation(0.9, 1.0), _evaluation(0.5, 1.0)]
+        assert regret(evaluations[1], evaluations) == pytest.approx(0.4)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            regret(_evaluation(0.5, 1.0), [])
