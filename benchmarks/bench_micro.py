@@ -147,7 +147,6 @@ def skewed_pool(world):
         terms=vocabulary.sample_terms(intent, rng, length=60),
         intent_latent=intent,
         k=10,
-        threshold=0.5,
     )
     return engine, pool, query
 

@@ -90,6 +90,9 @@ EXCEPTIONS: Tuple[Tuple[str, str], ...] = (
     ("repro.analysis", "the determinism lint, a CI check"),
     ("repro.uncertainty.matching.MatchingEngine.rank_pairwise",
      "parity reference of the batched rank"),
+    ("repro.uncertainty.matching.MatchingEngine.rank_block",
+     "rank_block_topk over every position, which the parity suites and"
+     " bench_micro rank through"),
     ("repro.uncertainty.similarity.bag_cosine", "parity reference of compact_cosine"),
     ("repro.uncertainty.matching.CandidateBlock._score_compound_query",
      "batch path checked against score by the parity suites"),
@@ -99,26 +102,6 @@ EXCEPTIONS: Tuple[Tuple[str, str], ...] = (
     ("field:mean_downtime", "tests build the churn scenario they assert on with it"),
     ("field:overpromise_range", "tests build the breach scenario they assert on with it"),
     ("field:error_rate_range", "tests build the breach scenario they assert on with it"),
-) + tuple(
-    (name, "unreached; deleted with its tests in the next change, since one change"
-           " may retire only so many tests and this one retired 121")
-    for name in (
-        "repro.uncertainty.similarity.cosine_similarity",
-        "repro.uncertainty.similarity.jaccard_similarity",
-        "repro.uncertainty.similarity.weighted_jaccard",
-        "repro.uncertainty.similarity.EnsembleSimilarity",
-        "repro.optimizer.pareto.dominates",
-        "repro.optimizer.pareto.hypervolume",
-        "repro.optimizer.pareto.regret",
-        "repro.qos.vector.QoSVector.dominates",
-        "repro.qos.vector.QoSVector.meets",
-        "repro.qos.vector.QoSVector.as_dict",
-        "repro.qos.vector.QoSVector.clamped",
-        "repro.qos.vector.QoSVector.worst_case",
-        "repro.qos.vector.QoSRequirement.is_trivial",
-        "repro.qos.vector.QoSRequirement.tighten",
-        "repro.qos.vector.QoSRequirement.as_promise",
-    )
 )
 
 #: dunders the interpreter or a container calls implicitly

@@ -34,6 +34,14 @@ from repro.sim.rng import ScopedStreams
 #: the item kinds a domain's ``type_mix`` may draw
 ITEM_KINDS = ("text", "media", "compound")
 
+#: ceiling on ``DomainSpec.update_rate`` (items per unit of virtual time).
+#: Every arrival is one kernel event, so a run's event count grows with
+#: rate x horizon, and a finite but huge rate (1e300) makes
+#: ``run(until=now + 1)`` effectively never return.  The stock domains use
+#: 0.02-0.3 and the tests at most 0.8; at 100, one unit of virtual time
+#: publishes ~100 items per stream (about 11 ms on a 2-core x86-64 VM).
+MAX_UPDATE_RATE = 100.0
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -52,7 +60,8 @@ class DomainSpec:
         Dirichlet concentration of per-item draws around the prior;
         smaller = more specialised items.
     update_rate:
-        Mean new items per unit of virtual time (drives feeds).
+        Mean new items per unit of virtual time (drives feeds), at most
+        :data:`MAX_UPDATE_RATE`.
     """
 
     name: str
@@ -82,9 +91,9 @@ class DomainSpec:
             raise ValueError(
                 f"concentration must be finite and > 0, got {self.concentration}"
             )
-        if not (math.isfinite(self.update_rate) and self.update_rate >= 0):
+        if not 0 <= self.update_rate <= MAX_UPDATE_RATE:
             raise ValueError(
-                f"update_rate must be finite and >= 0, got {self.update_rate}"
+                f"update_rate must be in [0, {MAX_UPDATE_RATE}], got {self.update_rate}"
             )
 
 

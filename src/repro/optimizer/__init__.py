@@ -6,8 +6,7 @@ Public API:
   :func:`discount_by_trust`.
 - Plans: :class:`CandidatePlan`, :class:`PlanEvaluation`,
   :class:`PlanScorer`, :func:`evaluate_plan`.
-- Pareto: :func:`pareto_front`, :func:`pareto_indices`, :func:`dominates`,
-  :func:`hypervolume`, :func:`regret`.
+- Pareto: :func:`pareto_front`, :func:`pareto_indices`.
 - Search: :class:`ExhaustiveSearch`, :class:`GreedySearch`,
   :class:`LocalSearch`, :class:`SearchResult`, :func:`make_evaluator`.
 - Baselines: :class:`RandomPlanner`, :class:`CostGreedyPlanner`,
@@ -29,13 +28,7 @@ from repro.optimizer.candidates import (
     CandidateEnumerator,
     discount_by_trust,
 )
-from repro.optimizer.pareto import (
-    dominates,
-    hypervolume,
-    pareto_front,
-    pareto_indices,
-    regret,
-)
+from repro.optimizer.pareto import pareto_front, pareto_indices
 from repro.optimizer.plans import CandidatePlan, PlanEvaluation, PlanScorer, evaluate_plan
 from repro.optimizer.search import (
     EvolutionarySearch,
@@ -67,11 +60,8 @@ __all__ = [
     "TradingOptimizer",
     "baseline_suite",
     "discount_by_trust",
-    "dominates",
     "evaluate_plan",
-    "hypervolume",
     "make_evaluator",
     "pareto_front",
     "pareto_indices",
-    "regret",
 ]

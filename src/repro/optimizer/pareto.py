@@ -4,7 +4,7 @@
 multi-objective optimization process" (§4).  We compare plans on
 (QoS utility, price): a plan dominates another when it is at least as good
 on both and strictly better on one.  The front is the set of non-dominated
-plans; hypervolume measures how much of objective space a front covers.
+plans.
 """
 
 from __future__ import annotations
@@ -14,13 +14,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.optimizer.plans import PlanEvaluation
-
-
-def dominates(a: PlanEvaluation, b: PlanEvaluation) -> bool:
-    """True when ``a`` Pareto-dominates ``b`` on (utility ↑, price ↓)."""
-    at_least = a.utility >= b.utility and a.price <= b.price
-    strictly = a.utility > b.utility or a.price < b.price
-    return at_least and strictly
 
 
 def pareto_indices(utilities: Sequence[float], prices: Sequence[float]) -> List[int]:
@@ -56,50 +49,3 @@ def pareto_front(evaluations: Sequence[PlanEvaluation]) -> List[PlanEvaluation]:
         [e.utility for e in evaluations], [e.price for e in evaluations]
     )
     return [evaluations[i] for i in indices]
-
-
-def hypervolume(
-    front: Sequence[PlanEvaluation],
-    reference_price: float,
-    reference_utility: float = 0.0,
-) -> float:
-    """2-D hypervolume of a front against a (price, utility) reference.
-
-    Larger is better.  The reference should be a pessimistic corner:
-    a price no acceptable plan exceeds and a utility floor.
-    """
-    if reference_price <= 0:
-        raise ValueError("reference_price must be positive")
-    points = sorted(
-        {
-            (e.price, e.utility)
-            for e in front
-            if e.price <= reference_price and e.utility >= reference_utility
-        }
-    )
-    if not points:
-        return 0.0
-    # Walk from the most expensive point to the cheapest; the utility
-    # ceiling at each price is the best utility among points at or below it.
-    best_so_far = []
-    best = reference_utility
-    for __, utility in points:
-        best = max(best, utility)
-        best_so_far.append(best)
-    volume = 0.0
-    upper = reference_price
-    for index in range(len(points) - 1, -1, -1):
-        price = points[index][0]
-        volume += (upper - price) * (best_so_far[index] - reference_utility)
-        upper = price
-    return volume
-
-
-def regret(
-    chosen: PlanEvaluation, evaluations: Sequence[PlanEvaluation]
-) -> float:
-    """Utility gap between the chosen plan and the best available one."""
-    if not evaluations:
-        raise ValueError("need at least one evaluation")
-    best = max(e.utility for e in evaluations)
-    return max(0.0, best - chosen.utility)

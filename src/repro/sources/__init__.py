@@ -7,7 +7,8 @@ Public API:
 - :class:`SourceRegistry`, :class:`SourceDescriptor` — discovery via
   (possibly optimistic) advertisements.
 - :class:`UpdateStream` — Poisson item arrivals feeding a source.
-- :class:`CollectionIndex` — sorted, bucketed item index behind sources.
+- :class:`CollectionIndex` — append-only, bucketed item index behind sources
+  (visibility at ``now`` is a mask over ingest order).
 """
 
 from repro.sources.index import CollectionIndex

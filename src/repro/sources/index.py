@@ -1,105 +1,92 @@
-"""Sorted, bucketed collection index backing information sources.
+"""Append-only, bucketed collection index backing information sources.
 
 The legacy source stored ``(item, visible_at)`` pairs in one flat list and
 answered every question — "what is visible at ``now``?", "how many museum
 items do I hold?" — with a full O(N) scan, three times per subquery.  The
-index keeps items in per-domain buckets sorted by ``(visible_at, seq)``,
-so visibility questions become a bisect: every item visible at ``now`` is
-a *prefix* of its bucket.  That prefix property is also what lets sources
-cache prepared :class:`~repro.uncertainty.matching.CandidateBlock` batch
-state per domain and reuse it across queries at different virtual times.
+index keeps items in per-domain buckets, each in ingest order with every
+item's visible-at time stored beside it.  A bucket only ever grows at its
+end, so a position names the same item forever: sources build their
+prepared :class:`~repro.uncertainty.matching.CandidateBlock` per bucket
+once and only ever extend it with the items ingested since.
 
-Invalidation contract: ``dirty_from(domain)`` reports the smallest bucket
-position touched since the caller's last ``checkpoint(domain)``.  Appends
-past a cached block's length mean the cache can be *extended* in place;
-an insertion inside the cached prefix forces a rebuild.  Buckets are only
-ever accessed by explicit key — no hash-ordered iteration with effects —
-keeping the determinism lint happy.
+"Visible at ``now``" is a mask over a bucket: the ascending positions
+whose time is ``<= now``.  Each bucket tracks its latest visible-at time,
+so when the whole bucket is visible (a historical corpus, or a live one
+once its freshness lags have elapsed) the mask is ``range(len(bucket))``
+without a scan.  Buckets are only ever accessed by explicit key — no
+hash-ordered iteration with effects — keeping the determinism lint happy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Sequence
 
 from repro.data.items import InformationItem
 
-#: sentinel sequence number larger than any real one, for bisect probes
-_MAX_SEQ = 1 << 62
 
-#: bucket entries are (visible_at, ingest sequence number, item); the
-#: sequence number is unique, so tuple comparison never reaches the item
-_Entry = Tuple[float, int, InformationItem]
+class _Bucket:
+    """One bucket's items in ingest order, with their visible-at times."""
+
+    __slots__ = ("items", "visible_at", "latest")
+
+    def __init__(self) -> None:
+        self.items: List[InformationItem] = []
+        self.visible_at: List[float] = []
+        self.latest = -math.inf  # the largest visible-at time held
 
 
 class CollectionIndex:
-    """Items bucketed by domain and sorted by visibility time."""
+    """Items bucketed by domain, append-only in ingest order."""
 
     #: bucket key holding every item regardless of domain
     ALL = None
 
     def __init__(self) -> None:
-        self._seq = 0
-        self._buckets: Dict[Optional[str], List[_Entry]] = {self.ALL: []}
-        # Smallest position touched per bucket since its last checkpoint;
-        # absent key = untouched.
-        self._dirty_from: Dict[Optional[str], int] = {}
+        self._buckets: Dict[Optional[str], _Bucket] = {self.ALL: _Bucket()}
 
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
     def add(self, item: InformationItem, visible_at: float) -> None:
         """Index ``item``, visible to queries from ``visible_at`` on."""
-        entry: _Entry = (visible_at, self._seq, item)
-        self._seq += 1
-        self._insert(self.ALL, entry)
-        self._insert(item.domain, entry)
+        for key in (self.ALL, item.domain):
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = self._buckets[key] = _Bucket()
+            bucket.items.append(item)
+            bucket.visible_at.append(visible_at)
+            bucket.latest = max(bucket.latest, visible_at)
 
-    def _insert(self, key: Optional[str], entry: _Entry) -> None:
-        bucket = self._buckets.setdefault(key, [])
-        # Probing with the (visible_at, seq) prefix compares strictly
-        # before the full entry, so the item itself is never compared.
-        position = bisect_right(bucket, entry[:2])  # type: ignore[arg-type]
-        insort(bucket, entry)
-        previous = self._dirty_from.get(key)
-        if previous is None or position < previous:
-            self._dirty_from[key] = position
+    def _bucket(self, domain: Optional[str]) -> _Bucket:
+        bucket = self._buckets.get(domain)
+        return _Bucket() if bucket is None else bucket
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def bucket_items(self, domain: Optional[str] = None) -> List[InformationItem]:
-        """All items of a bucket in ``(visible_at, seq)`` order."""
-        return [item for __, __, item in self._buckets.get(domain, [])]
+    def bucket_items(
+        self, domain: Optional[str] = None, start: int = 0
+    ) -> List[InformationItem]:
+        """The bucket's items from position ``start`` on, in ingest order."""
+        return self._bucket(domain).items[start:]
+
+    def visible_positions(
+        self, now: float, domain: Optional[str] = None
+    ) -> Sequence[int]:
+        """Ascending bucket positions of the items visible at ``now``."""
+        bucket = self._bucket(domain)
+        if now >= bucket.latest:
+            return range(len(bucket.items))
+        return [p for p, at in enumerate(bucket.visible_at) if at <= now]
 
     def visible_count(self, now: float, domain: Optional[str] = None) -> int:
-        """How many items of the bucket are visible at ``now`` (bisect)."""
-        bucket = self._buckets.get(domain, [])
-        return bisect_right(bucket, (now, _MAX_SEQ))  # type: ignore[arg-type]
+        """How many items of the bucket are visible at ``now``."""
+        return len(self.visible_positions(now, domain))
 
     def visible_items(
         self, now: float, domain: Optional[str] = None
     ) -> List[InformationItem]:
-        """Visible items in *ingestion* order (legacy-compatible)."""
-        bucket = self._buckets.get(domain, [])
-        prefix = bucket[: self.visible_count(now, domain)]
-        return [item for __, __, item in sorted(prefix, key=lambda e: e[1])]
+        """Visible items in ingest order."""
+        bucket = self._bucket(domain)
+        if now >= bucket.latest:
+            return list(bucket.items)
+        return [item for item, at in zip(bucket.items, bucket.visible_at) if at <= now]
 
     def domain_size(self, domain: Optional[str] = None) -> int:
         """Total number of indexed items in the bucket (visible or not)."""
-        return len(self._buckets.get(domain, []))
-
-    # ------------------------------------------------------------------
-    # Cache-coherence protocol
-    # ------------------------------------------------------------------
-    def dirty_from(self, domain: Optional[str] = None) -> Optional[int]:
-        """Smallest bucket position modified since the last checkpoint.
-
-        ``None`` means the bucket is untouched: any cache built at the
-        last checkpoint is still position-for-position valid.
-        """
-        return self._dirty_from.get(domain)
-
-    def checkpoint(self, domain: Optional[str] = None) -> None:
-        """Mark the caller's cache as synchronised with the bucket."""
-        self._dirty_from.pop(domain, None)
+        return len(self._bucket(domain).items)

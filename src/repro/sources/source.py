@@ -128,8 +128,8 @@ class InformationSource:
         self.metrics = metrics
         self._rng = streams.stream(f"source.{source_id}")
         self._index = CollectionIndex()
-        # Prepared batch-scoring state per domain bucket; kept coherent
-        # with the index via its dirty_from/checkpoint protocol.
+        # Prepared batch-scoring state per domain bucket, position for
+        # position; buckets are append-only, so a block only ever extends.
         self._blocks: Dict[Optional[str], CandidateBlock] = {}
 
     # ------------------------------------------------------------------
@@ -171,26 +171,22 @@ class InformationSource:
     def _block_for(self, domain: Optional[str]) -> CandidateBlock:
         """The prepared batch-scoring block for a domain bucket.
 
-        The block's candidate order is the bucket's ``(visible_at, seq)``
-        order, so "everything visible at ``now``" is always a prefix.
-        Appends past the cached length extend the block in place; an
-        insertion inside it (a late item becoming visible early) rebuilds.
+        The block's candidate order is the bucket's ingest order, so block
+        positions are bucket positions.  The first lookup builds it; later
+        ones append the items ingested since.
         """
-        cached = self._blocks.get(domain)
-        dirty = self._index.dirty_from(domain)
-        if cached is not None and (dirty is None or dirty >= len(cached)):
-            bucket = self._index.bucket_items(domain)
-            if len(bucket) > len(cached):
-                cached.extend(bucket[len(cached):])
-                self._count_cache("extends")
-            else:
-                self._count_cache("hits")
-            self._index.checkpoint(domain)
-            return cached
-        self._count_cache("rebuilds" if cached is not None else "misses")
-        block = self.engine.prepare(self._index.bucket_items(domain))
-        self._blocks[domain] = block
-        self._index.checkpoint(domain)
+        block = self._blocks.get(domain)
+        if block is None:
+            self._count_cache("misses")
+            block = self.engine.prepare(self._index.bucket_items(domain))
+            self._blocks[domain] = block
+            return block
+        new_items = self._index.bucket_items(domain, start=len(block))
+        if new_items:
+            block.extend(new_items)
+            self._count_cache("extends")
+        else:
+            self._count_cache("hits")
         return block
 
     # ------------------------------------------------------------------
@@ -227,12 +223,13 @@ class InformationSource:
                 declined=True,
                 decline_reason=reason,
             )
-        n_candidates = self._index.visible_count(now, domain=subquery.domain)
+        visible = self._index.visible_positions(now, subquery.domain)
+        n_candidates = len(visible)
         ranked = self.engine.rank_block_topk(
             subquery.evidence_item(),
             self._block_for(subquery.domain),
             subquery.k,
-            limit=n_candidates,
+            visible,
         )
         matches: List[Tuple[InformationItem, float]] = []
         if self.quality.error_rate > 0.0:

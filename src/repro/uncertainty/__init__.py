@@ -2,9 +2,7 @@
 
 Public API:
 
-- Similarity primitives: :func:`cosine_similarity`,
-  :func:`jaccard_similarity`, :func:`weighted_jaccard`, :func:`bag_cosine`,
-  :class:`EnsembleSimilarity`, :func:`nonnegative_cosine`,
+- Similarity primitives: :func:`bag_cosine`, :func:`nonnegative_cosine`,
   :func:`dot_kernel`; the compact text layout
   :class:`CompactBag`, :class:`TermIds`, :class:`TermColumns`,
   :func:`compact_cosine`.
@@ -50,7 +48,6 @@ from repro.uncertainty.risk import (
 )
 from repro.uncertainty.similarity import (
     CompactBag,
-    EnsembleSimilarity,
     TermColumns,
     TermIds,
     bag_cosine,
@@ -58,12 +55,9 @@ from repro.uncertainty.similarity import (
     batch_dot_kernel,
     batch_nonnegative_cosine,
     compact_cosine,
-    cosine_similarity,
     dot_kernel,
-    jaccard_similarity,
     nonnegative_cosine,
     sublinear_tf,
-    weighted_jaccard,
 )
 
 __all__ = [
@@ -75,7 +69,6 @@ __all__ = [
     "LruCache",
     "ConceptLifter",
     "CrossTypeMatcher",
-    "EnsembleSimilarity",
     "MatchingEngine",
     "MediaMatcher",
     "RiskProfile",
@@ -92,9 +85,7 @@ __all__ = [
     "build_matching_engine",
     "compact_cosine",
     "dot_kernel",
-    "cosine_similarity",
     "expected_calibration_error",
-    "jaccard_similarity",
     "nonnegative_cosine",
     "pool_adjacent_violators",
     "ranking_auc",
@@ -102,5 +93,4 @@ __all__ = [
     "risk_neutral",
     "risk_seeking",
     "sublinear_tf",
-    "weighted_jaccard",
 ]

@@ -330,10 +330,11 @@ class CandidateBlock:
     """Prepared batch-scoring state over an ordered candidate pool.
 
     A block partitions candidates by type, stacks their cached derived
-    vectors into matrices, and scores any query against a *prefix* of the
-    pool in one pass.  Sources keep blocks per domain (candidates sorted
-    by visibility time, so "the items visible at ``now``" is always a
-    prefix) and extend them incrementally as items are ingested.
+    vectors into matrices, and scores any query against the whole pool in
+    one pass.  Sources keep one block per domain bucket, in the bucket's
+    append-only ingest order, and extend it as items are ingested; the
+    items visible at ``now`` are a set of block positions that
+    :meth:`MatchingEngine.rank_block_topk` selects after scoring.
 
     Text queries are scored against the whole text partition in one
     column pass (:class:`~repro.uncertainty.similarity.TermColumns`).
@@ -646,48 +647,48 @@ class MatchingEngine:
         self,
         query: InformationItem,
         block: CandidateBlock,
-        limit: Optional[int] = None,
+        positions: Optional[Sequence[int]] = None,
     ) -> List[Tuple[InformationItem, float]]:
-        """Rank the first ``limit`` candidates of a prepared block."""
-        n = len(block) if limit is None else min(limit, len(block))
-        self._observe_rank(n)
-        scores = block.score(query, limit=n)
-        scored = [
-            (item, float(score)) for item, score in zip(block.items[:n], scores)
-        ]
-        return sorted(scored, key=lambda pair: (-pair[1], pair[0].item_id))
+        """Rank the candidates at ``positions`` (default: all) of a block."""
+        n = len(block) if positions is None else len(positions)
+        return self.rank_block_topk(query, block, n, positions)
 
     def rank_block_topk(
         self,
         query: InformationItem,
         block: CandidateBlock,
         k: int,
-        limit: Optional[int] = None,
+        positions: Optional[Sequence[int]] = None,
     ) -> List[Tuple[InformationItem, float]]:
-        """The best ``k`` of :meth:`rank_block`.
+        """The best ``k`` candidates at ascending ``positions`` of a block.
 
-        One whole-prefix score; the result is
-        ``rank_block(query, block, limit)[:k]``.  When ``k < n`` only the
-        candidates scoring at least the k-th best score are sorted; ties at
-        that score are all kept, so the ``(-score, item_id)`` sort settles
-        them exactly as the full sort would.  Every call counts its candidates under
+        One score up to the last position; a source passes the positions
+        visible at its ``now`` (default: all).  A candidate's score does
+        not depend on the batch, so scoring invisible candidates and
+        dropping them changes no float.  When ``k < n`` only the candidates
+        scoring at least the k-th best score are sorted; ties at that score
+        are all kept, so the ``(-score, item_id)`` sort settles them exactly
+        as the full sort would.  Every call counts its candidates under
         ``matching.prune.*``, where scored always equals total.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
-        n = len(block) if limit is None else min(limit, len(block))
-        if k >= n:
-            top = self.rank_block(query, block, limit=n)
-        else:
-            self._observe_rank(n)
-            scores = block.score(query, limit=n)
+        items = block.items
+        if positions is None:
+            positions = range(len(items))
+        n = len(positions)
+        scores = block.score(query, limit=positions[-1] + 1 if n else 0)
+        if n < len(items):
+            items = [items[p] for p in positions]
+            scores = scores[np.asarray(positions, dtype=np.intp)]
+        self._observe_rank(n)
+        if k < n:
             kth = np.partition(scores, n - k)[n - k] if k else np.inf
             keep = np.flatnonzero(scores >= kth)
-            items = block.items
-            top = sorted(
-                ((items[i], float(scores[i])) for i in keep),
-                key=lambda pair: (-pair[1], pair[0].item_id),
-            )[:k]
+            pairs = zip([items[i] for i in keep.tolist()], scores[keep].tolist())
+        else:
+            pairs = zip(items, scores.tolist())
+        top = sorted(pairs, key=lambda pair: (-pair[1], pair[0].item_id))[:k]
         if self._metrics is not None:
             self._metrics.counter("matching.prune.calls").inc()
             self._metrics.counter("matching.prune.candidates_total").inc(float(n))

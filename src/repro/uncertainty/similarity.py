@@ -1,8 +1,8 @@
 """Similarity primitives over vectors and term bags.
 
 These are the low-level metrics the matching engines build on.  All of
-them return values in [0, 1] where 1 means identical, so scores from
-different metrics can be ensembled and later calibrated to probabilities.
+them return values in [0, 1] where 1 means identical, so scores can
+later be calibrated to probabilities.
 
 Dot products go through :func:`dot_kernel` / :func:`batch_dot_kernel`
 (``np.einsum``), never BLAS: ``M @ v`` is *not* bitwise-identical to its
@@ -18,7 +18,7 @@ exactly as :func:`bag_cosine` does.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,19 +40,6 @@ def batch_dot_kernel(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     if matrix.shape[0] == 0:
         return np.zeros(0)
     return np.einsum("ij,j->i", matrix, vector)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of two vectors mapped to [0, 1] (0.5 = orthogonal)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float((1.0 + dot_kernel(a, b) / (na * nb)) / 2.0)
 
 
 def nonnegative_cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -90,32 +77,6 @@ def batch_nonnegative_cosine(
     with np.errstate(divide="ignore", invalid="ignore"):
         cosines = np.clip(dots / (row_norms * vector_norm), 0.0, 1.0)
     return np.where(row_norms == 0, 0.0, cosines)
-
-
-def jaccard_similarity(a: Iterable[str], b: Iterable[str]) -> float:
-    """Jaccard index of two term sets."""
-    set_a, set_b = set(a), set(b)
-    if not set_a and not set_b:
-        return 1.0
-    union = set_a | set_b
-    return len(set_a & set_b) / len(union)
-
-
-def weighted_jaccard(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    """Weighted Jaccard (Ruzicka) similarity of two weighted bags.
-
-    Accumulates in sorted key order so the result is bitwise identical
-    across processes regardless of string-hash randomization (see
-    :func:`bag_cosine`).
-    """
-    keys = sorted(set(a) | set(b))
-    if not keys:
-        return 1.0
-    minimum = sum(min(a.get(k, 0.0), b.get(k, 0.0)) for k in keys)
-    maximum = sum(max(a.get(k, 0.0), b.get(k, 0.0)) for k in keys)
-    if maximum == 0:
-        return 1.0
-    return minimum / maximum
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -283,31 +244,3 @@ class TermColumns:
         with np.errstate(divide="ignore", invalid="ignore"):
             cosines = np.clip(dots / (query.norm * self.norms), 0.0, 1.0)
         return np.where(self.norms == 0, 0.0, cosines)
-
-
-class EnsembleSimilarity:
-    """A weighted combination of several score functions.
-
-    Each member is a callable ``(query, candidate) -> float`` in [0, 1].
-    """
-
-    def __init__(self, members: Sequence, weights: Optional[Sequence[float]] = None):
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        self.members = list(members)
-        if weights is None:
-            weights = [1.0] * len(members)
-        if len(weights) != len(members):
-            raise ValueError("weights must match members")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("at least one weight must be positive")
-        self.weights = [w / total for w in weights]
-
-    def __call__(self, query, candidate) -> float:
-        return sum(
-            weight * member(query, candidate)
-            for member, weight in zip(self.members, self.weights)
-        )

@@ -10,6 +10,7 @@ from repro.data import (
     TextDocument,
     iris_domains,
 )
+from repro.data import corpus
 
 
 class TestDomainSpec:
@@ -56,6 +57,20 @@ class TestDomainSpec:
     def test_negative_update_rate_rejected(self):
         with pytest.raises(ValueError, match="update_rate"):
             DomainSpec(name="bad", topic_prior={"folk-jewelry": 1.0}, update_rate=-0.1)
+
+    @pytest.mark.parametrize("rate", [1e6, 1e300])
+    def test_update_rate_above_ceiling_rejected(self, rate):
+        # A huge finite rate schedules arrivals ~1/rate apart, so a
+        # started stream's run(until=now + 1) would never return.
+        with pytest.raises(ValueError, match="update_rate"):
+            DomainSpec(name="bad", topic_prior={"folk-jewelry": 1.0}, update_rate=rate)
+
+    def test_update_rate_ceiling_allowed(self):
+        spec = DomainSpec(
+            name="busy", topic_prior={"folk-jewelry": 1.0},
+            update_rate=corpus.MAX_UPDATE_RATE,
+        )
+        assert spec.update_rate == corpus.MAX_UPDATE_RATE
 
     def test_zero_update_rate_allowed(self):
         spec = DomainSpec(name="still", topic_prior={"folk-jewelry": 1.0}, update_rate=0.0)

@@ -1,9 +1,8 @@
 """Cross-cutting property-based tests on core invariants.
 
 These complement the per-module tests: each property here is a contract
-several subsystems rely on simultaneously (e.g. the optimizer assumes QoS
-dominance is a strict partial order; collaboration assumes result-set
-merging is a semilattice).
+several subsystems rely on simultaneously (e.g. collaboration assumes
+result-set merging is a semilattice).
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import InformationItem
-from repro.qos import QoSRequirement, QoSVector, QoSWeights, scalarize
 from repro.trust import BetaReputation
 from repro.uncertainty import (
     UncertainMatch,
@@ -21,54 +19,6 @@ from repro.uncertainty import (
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-qos_vectors = st.builds(
-    QoSVector,
-    response_time=st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-    completeness=unit, freshness=unit, correctness=unit, trust=unit,
-)
-
-
-class TestQoSPartialOrder:
-    @given(qos_vectors)
-    def test_irreflexive(self, vector):
-        assert not vector.dominates(vector)
-
-    @given(qos_vectors, qos_vectors, qos_vectors)
-    def test_transitive(self, a, b, c):
-        if a.dominates(b) and b.dominates(c):
-            assert a.dominates(c)
-
-    @given(qos_vectors, qos_vectors)
-    def test_dominance_implies_weakly_better_utility(self, a, b):
-        if a.dominates(b):
-            assert scalarize(a, QoSWeights()) >= scalarize(b, QoSWeights()) - 1e-9
-
-    @given(qos_vectors, qos_vectors)
-    def test_worst_case_is_lower_bound(self, a, b):
-        worst = a.worst_case(b)
-        for other in (a, b):
-            assert not worst.dominates(other)
-
-
-class TestRequirementConsistency:
-    requirements = st.builds(
-        QoSRequirement,
-        max_response_time=st.one_of(st.none(), st.floats(0.1, 50, allow_nan=False)),
-        min_completeness=st.one_of(st.none(), unit),
-        min_freshness=st.one_of(st.none(), unit),
-        min_correctness=st.one_of(st.none(), unit),
-        min_trust=st.one_of(st.none(), unit),
-    )
-
-    @given(requirements)
-    def test_promise_meets_own_requirement(self, requirement):
-        assert requirement.as_promise().meets(requirement)
-
-    @given(requirements, qos_vectors)
-    def test_violations_consistent_with_meets(self, requirement, vector):
-        assert vector.meets(requirement) == (
-            requirement.violated_dimensions(vector) == []
-        )
 
 
 def _match(item_id, probability):

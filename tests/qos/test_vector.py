@@ -37,41 +37,6 @@ class TestQoSVector:
         with pytest.raises(ValueError):
             QoSVector(completeness=1.5)
 
-    def test_dominates(self):
-        better = QoSVector(response_time=1.0, completeness=0.9)
-        worse = QoSVector(response_time=2.0, completeness=0.8)
-        assert better.dominates(worse)
-        assert not worse.dominates(better)
-
-    def test_no_self_domination(self):
-        vector = QoSVector(response_time=1.0)
-        assert not vector.dominates(vector)
-
-    def test_incomparable_vectors(self):
-        fast_incomplete = QoSVector(response_time=1.0, completeness=0.5)
-        slow_complete = QoSVector(response_time=5.0, completeness=0.9)
-        assert not fast_incomplete.dominates(slow_complete)
-        assert not slow_complete.dominates(fast_incomplete)
-
-    @given(qos_vectors, qos_vectors)
-    def test_dominance_antisymmetric(self, a, b):
-        assert not (a.dominates(b) and b.dominates(a))
-
-    def test_worst_case(self):
-        a = QoSVector(response_time=1.0, completeness=0.9, trust=0.5)
-        b = QoSVector(response_time=3.0, completeness=0.7, trust=0.8)
-        combined = a.worst_case(b)
-        assert combined.response_time == 3.0
-        assert combined.completeness == 0.7
-        assert combined.trust == 0.5
-
-    def test_as_dict(self):
-        d = QoSVector(response_time=2.0).as_dict()
-        assert d["response_time"] == 2.0
-        assert set(d) == {
-            "response_time", "completeness", "freshness", "correctness", "trust",
-        }
-
 
 class TestScalarization:
     def test_time_utility_half_life(self):
@@ -122,15 +87,6 @@ class TestScalarization:
 
 
 class TestRequirement:
-    def test_trivial(self):
-        assert QoSRequirement().is_trivial()
-        assert not QoSRequirement(min_trust=0.5).is_trivial()
-
-    def test_meets(self):
-        requirement = QoSRequirement(max_response_time=5.0, min_completeness=0.8)
-        assert QoSVector(response_time=4.0, completeness=0.9).meets(requirement)
-        assert not QoSVector(response_time=6.0, completeness=0.9).meets(requirement)
-
     def test_violated_dimensions(self):
         requirement = QoSRequirement(
             max_response_time=5.0, min_completeness=0.8, min_trust=0.9
@@ -139,17 +95,3 @@ class TestRequirement:
         assert requirement.violated_dimensions(delivered) == [
             "response_time", "completeness",
         ]
-
-    def test_tighten(self):
-        requirement = QoSRequirement(min_trust=0.5).tighten(min_trust=0.9)
-        assert requirement.min_trust == 0.9
-
-    def test_as_promise_meets_requirement(self):
-        requirement = QoSRequirement(
-            max_response_time=5.0, min_completeness=0.8, min_freshness=0.6
-        )
-        assert requirement.as_promise().meets(requirement)
-
-    @given(qos_vectors)
-    def test_trivial_requirement_always_met(self, vector):
-        assert vector.meets(QoSRequirement())

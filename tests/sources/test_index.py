@@ -1,4 +1,4 @@
-"""Tests for the sorted, bucketed collection index."""
+"""Tests for the append-only, bucketed collection index."""
 
 import numpy as np
 import pytest
@@ -57,38 +57,3 @@ class TestVisibility:
         assert index.domain_size("museum") == 1
         assert index.visible_count(float("inf")) == 2
 
-
-class TestCacheCoherenceProtocol:
-    def test_untouched_after_checkpoint(self, index):
-        index.add(_item(0), 1.0)
-        index.checkpoint("museum")
-        assert index.dirty_from("museum") is None
-
-    def test_append_reports_end_position(self, index):
-        index.add(_item(0), 1.0)
-        index.checkpoint("museum")
-        index.add(_item(1), 2.0)
-        assert index.dirty_from("museum") == 1  # appended past position 0
-
-    def test_mid_insert_reports_inner_position(self, index):
-        index.add(_item(0), 10.0)
-        index.add(_item(1), 30.0)
-        index.checkpoint("museum")
-        index.add(_item(2), 20.0)  # lands between the two cached entries
-        assert index.dirty_from("museum") == 1
-
-    def test_dirty_tracks_minimum_position(self, index):
-        index.add(_item(0), 10.0)
-        index.add(_item(1), 30.0)
-        index.checkpoint("museum")
-        index.add(_item(2), 40.0)  # append
-        index.add(_item(3), 0.0)   # front insert
-        assert index.dirty_from("museum") == 0
-
-    def test_buckets_track_dirt_independently(self, index):
-        index.add(_item(0, "museum"), 1.0)
-        index.checkpoint("museum")
-        index.add(_item(1, "auction"), 1.0)
-        assert index.dirty_from("museum") is None
-        assert index.dirty_from("auction") == 0
-        assert index.dirty_from(CollectionIndex.ALL) == 0

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.data import DomainSpec
 from repro.net import NodeHealth
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 from repro.sources import InformationSource, SourceQuality
 
@@ -109,6 +111,45 @@ class TestAnswering:
         noisy_scores = [s for __, s in noisy_answer.matches]
         # Corrupted scores are uniform noise — much higher variance.
         assert np.std(noisy_scores) > np.std(clean_scores)
+
+    def test_late_visible_item_extends_block(
+        self, corpus_generator, matching_engine, streams, topic_space, vocabulary
+    ):
+        """An item that turns visible before a cached one never rebuilds.
+
+        Buckets are append-only, so the source's block only ever extends;
+        each answer is still the pairwise ranking of the visible items.
+        """
+        metrics = MetricsRegistry()
+        spec = DomainSpec(name="museum", topic_prior={"folk-jewelry": 1.0})
+        source = InformationSource(
+            source_id="s1", node_id="n1", domains=["museum"],
+            quality=SourceQuality(coverage=1.0, freshness_lag=50.0, error_rate=0.0),
+            engine=matching_engine, streams=streams.spawn("late"), metrics=metrics,
+        )
+        base = corpus_generator.generate(spec, 10)
+        late, prompt = corpus_generator.generate(spec, 2)
+        source.ingest(base, now=0.0, immediate=True)
+        source.ingest([late], now=0.0)
+        subquery = make_topic_query(
+            topic_space, vocabulary, "folk-jewelry", k=20
+        ).restricted_to("museum")
+        source.answer(subquery, now=0.0)  # builds the block, late at its end
+        source.ingest([prompt], now=0.0, immediate=True)
+        for now, expected_visible in [(0.0, base + [prompt]), (1e9, base + [late, prompt])]:
+            visible = source.visible_items(now, "museum")
+            assert visible == expected_visible
+            answer = source.answer(subquery, now=now)
+            expected = matching_engine.rank_pairwise(subquery.evidence_item(), visible)
+            assert [i.item_id for i, __ in answer.matches] == [
+                i.item_id for i, __ in expected
+            ]
+            assert [s for __, s in answer.matches] == [s for __, s in expected]
+        counters = metrics.counters()
+        assert "source.block_cache.rebuilds" not in counters
+        assert counters["source.block_cache.misses"] == 1
+        assert counters["source.block_cache.extends"] == 1
+        assert counters["source.block_cache.hits"] == 1
 
 
 class TestParticipation:

@@ -223,6 +223,17 @@ class TestScoreManyEdges:
         single = np.array([engine.score(query, c) for c in pool])
         assert np.array_equal(batch, single)
 
+    @pytest.mark.parametrize("positions", [[], [4], [0, 2, 5], [1, 2, 3, 6]])
+    def test_positions_rank_like_pairwise(self, engine, corpus_generator, positions):
+        query = corpus_generator.generate(_text_domain(), 1)[0]
+        pool = corpus_generator.generate(_text_domain("p"), 4) + \
+            corpus_generator.generate(_media_domain("m"), 2) + \
+            corpus_generator.generate(_compound_domain("c"), 2)
+        block = engine.prepare(pool)
+        expected = engine.rank_pairwise(query, [pool[p] for p in positions])
+        assert engine.rank_block(query, block, positions) == expected
+        assert engine.rank_block_topk(query, block, 2, positions) == expected[:2]
+
 
 class TestMatchingEngine:
     def test_dispatch_text_text(self, engine, corpus_generator):
